@@ -94,9 +94,9 @@ def main() -> None:
     #        api.sweep({"benchmarks": ["fft"]})      # a managed campaign
     #        api.characterize("spmv.csr")            # bottleneck class
     #        api.bench(smoke=True)                   # simulator perf
-    #    Every verb takes the same perf knobs (never affect results):
+    #    Every verb takes the same perf knob (never affects results):
     #        profile="vectorized" | "optimized" | "reference"
-    #        backend="batch" | "per-unit"
+    #    (backend= is still accepted, but deprecated and ignored.)
     from repro import api
 
     res = api.simulate("fft", "algorithm-1", scale=0.1, cache=False)

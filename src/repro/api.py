@@ -25,15 +25,19 @@ served out their window) — import from
 
 Every verb accepts the same runtime-control keywords: ``options`` (a
 :class:`~repro.runtime.RuntimeOptions`) for full control — jobs,
-cache, timeouts, engine profile, executor backend — with the per-call
-conveniences ``profile=`` (an engine profile: ``"optimized"``,
-``"reference"``, ``"vectorized"``), ``backend=`` (``"batch"`` or
-``"per-unit"`` simulation execution), and ``cache=`` layered on top.
-Profiles and backends are *performance knobs only*: results are pinned
-identical across all of them, and none ever forks the runtime's
+cache, timeouts, engine profile — with the per-call conveniences
+``profile=`` (an engine profile: ``"optimized"``, ``"reference"``,
+``"vectorized"``) and ``cache=`` layered on top.  Profiles are
+*performance knobs only*: results are pinned identical across all of
+them, and none ever forks the runtime's
 :class:`~repro.runtime.keys.JobKey` cache keys — a result computed
 through the facade is a warm cache hit for the CLI, a campaign, or the
 tuner, and vice versa.
+
+``backend=`` is still accepted by every verb, because these signatures
+only grow, but it is a deprecated no-op: the runtime has one executor
+path, so passing it only emits one :class:`DeprecationWarning` per
+call.
 """
 
 from __future__ import annotations
@@ -69,17 +73,13 @@ __all__ = [
     "tune",
 ]
 
-#: Valid values of every verb's ``backend=`` keyword.
-BACKENDS = ("batch", "per-unit")
-
-
 def _schemes(
     schemes: Union[None, str, Sequence[str]],
 ) -> Optional[tuple]:
     """Resolve the shared ``schemes=`` keyword against the registry.
 
-    Validated here at the facade — like ``profile=``/``backend=`` —
-    so an unknown label fails fast with the valid set, before any
+    Validated here at the facade — like ``profile=`` — so an unknown
+    label fails fast with the valid set, before any
     runner or campaign directory is constructed.
     """
     if schemes is None:
@@ -107,21 +107,20 @@ def _options(
 
     from repro.runtime import RuntimeOptions, default_cache_dir
 
+    if backend is not None:
+        import warnings
+
+        warnings.warn(
+            "backend= is deprecated and ignored: the runtime has one "
+            "executor path",
+            DeprecationWarning, stacklevel=3,
+        )
     if options is None:
         options = RuntimeOptions(
             cache_dir=str(default_cache_dir()) if cache else None
         )
     if profile is not None and profile != options.engine_profile:
         options = dataclasses.replace(options, engine_profile=profile)
-    if backend is not None:
-        if backend not in BACKENDS:
-            valid = ", ".join(repr(b) for b in BACKENDS)
-            raise ValueError(
-                f"unknown backend {backend!r} (valid backends: {valid})"
-            )
-        batch = backend == "batch"
-        if batch != options.batch:
-            options = dataclasses.replace(options, batch=batch)
     return options
 
 
@@ -427,6 +426,7 @@ def characterize(
     """
     from repro.analysis.characterize import characterize_result
 
+    _options(options, profile, cache, backend)  # the one backend= warning
     if schemes is not None:
         if scheme is not None:
             raise ValueError(
@@ -436,16 +436,16 @@ def characterize(
         out: Dict[str, "BottleneckProfile"] = {}
         for label in _schemes(schemes):
             result = simulate(
-                workload, label, scale=scale,
-                tunables=tunables, profile=profile, backend=backend,
-                cfg=cfg, options=options, cache=cache, stats=stats,
+                workload, label, scale=scale, tunables=tunables,
+                profile=profile, cfg=cfg, options=options, cache=cache,
+                stats=stats,
             )
             out[label] = characterize_result(result)
         return out
     result = simulate(
         workload, scheme, scale=scale, tunables=tunables,
-        profile=profile, backend=backend, cfg=cfg, options=options,
-        cache=cache, stats=stats,
+        profile=profile, cfg=cfg, options=options, cache=cache,
+        stats=stats,
     )
     return characterize_result(result)
 
@@ -477,11 +477,11 @@ def bench(
     the measured ratios against it with ``max_slowdown`` percent
     tolerance.
 
-    ``profile``/``backend``/``options``/``cache`` are accepted for
-    the facade's uniform-keyword contract and validated, but the
-    microbenchmarks deliberately measure **all** profiles and both
-    executor backends regardless: the report's value is exactly the
-    cross-profile comparison.
+    ``profile``/``options``/``cache`` are accepted for the facade's
+    uniform-keyword contract and validated (``backend`` only warns),
+    but the microbenchmarks deliberately measure **all** profiles
+    regardless: the report's value is exactly the cross-profile
+    comparison.
     """
     import json
 

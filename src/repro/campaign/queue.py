@@ -9,14 +9,15 @@ open units concurrently:
 * **claiming** is an atomic ``open -> claimed`` transition inside a
   ``BEGIN IMMEDIATE`` transaction, stamped with the claimer's identity
   (``host:pid:nonce``) and a **lease** deadline;
-* **heartbeats** extend the lease between units, so a healthy worker
-  never loses work, while a SIGKILLed or hung worker's units return to
-  the queue — immediately when the owner pid is visibly dead on the
-  same host, or at lease expiry otherwise;
+* **heartbeats** extend the lease before each claimed chunk runs, so a
+  healthy worker keeps its work, while a SIGKILLed or hung worker's
+  units return to the queue — immediately when the owner pid is
+  visibly dead on the same host, or at lease expiry otherwise;
 * **completion** is exactly-once: the ``claimed -> done`` transition is
-  a conditional UPDATE guarded by the owner identity, and the manifest
-  append runs *inside* the same transaction — a worker whose lease was
-  reclaimed loses the UPDATE and therefore never journals;
+  a conditional UPDATE guarded by the owner identity, and the queue's
+  own manifest append runs *inside* the same transaction — a worker
+  whose lease was reclaimed loses the UPDATE and therefore never
+  journals;
 * **reconciliation** (:meth:`ClaimQueue.reconcile`) repairs the one
   crash window the above leaves (journal appended, claim-row commit
   lost): the manifest journal is the authority, so manifest-``done``
@@ -31,7 +32,9 @@ workflow.
 
 The queue never holds results: simulation outputs travel through the
 content-addressed :mod:`repro.runtime.cache` exactly as before, so the
-claim table adds coordination without forking cache keys.
+claim table adds coordination without forking cache keys.  An
+in-memory campaign is the same queue on SQLite ``":memory:"`` with an
+in-memory manifest.
 """
 
 from __future__ import annotations
@@ -44,7 +47,14 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Set, Union,
+)
+
+from repro.campaign.manifest import Manifest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.arch.simulator import SimulationResult
 
 CLAIMS_NAME = "claims.sqlite"
 
@@ -114,6 +124,9 @@ class QueueCounts:
     claimed: int = 0
     done: int = 0
     failed: int = 0
+    #: seconds until the earliest backoff-delayed open unit becomes
+    #: claimable (0 when no open unit is waiting out a backoff)
+    wait: float = 0.0
 
     @property
     def total(self) -> int:
@@ -128,36 +141,35 @@ class QueueCounts:
 class ClaimQueue:
     """The ``claims.sqlite`` table of one campaign directory.
 
-    ``worker_id`` defaults to a fresh ``host:pid:nonce`` identity;
-    ``clock`` is injectable so lease expiry is testable without
-    sleeping.  Every mutating method is one WAL transaction, so any
-    number of queues (processes) may point at the same file.
+    ``manifest`` is the campaign journal: :meth:`complete` and
+    :meth:`fail` append to it inside their owner-guarded transaction
+    (``None`` journals nowhere).  ``worker_id`` defaults to a fresh
+    ``host:pid:nonce`` identity; ``clock`` is injectable so lease
+    expiry is testable without sleeping.  Every mutating method is one
+    WAL transaction, so any number of queues (processes) may point at
+    the same file; ``path=":memory:"`` is a private in-process table.
     """
-
-    #: Local backends journal through the caller's ``journal=`` callback
-    #: inside the claim transaction; the network backend
-    #: (:class:`~repro.campaign.remote.RemoteClaimQueue`) flips this and
-    #: ships structured journal entries so the *server* appends inside
-    #: its transaction.  The runner dispatches on it.
-    journals_remotely = False
 
     def __init__(
         self,
         path: Union[str, Path],
         *,
+        manifest: Optional[Manifest] = None,
         worker_id: Optional[str] = None,
         clock: Callable[[], float] = time.time,
         busy_timeout: float = 30.0,
         check_same_thread: bool = True,
     ):
         self.path = Path(path)
+        self.manifest = manifest
         self.clock = clock
         self.host = socket.gethostname()
         self.pid = os.getpid()
         self.worker_id = worker_id or (
             f"{self.host}:{self.pid}:{uuid.uuid4().hex[:6]}"
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if str(path) != ":memory:":
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         # ``check_same_thread=False`` lets the claim server's HTTP
         # threads share per-worker connections; the server serializes
         # every dispatch behind one lock, so sqlite never sees
@@ -357,16 +369,20 @@ class ClaimQueue:
         self,
         unit_id: str,
         digest: Optional[str],
+        result: Optional["SimulationResult"] = None,
         *,
-        journal: Optional[Callable[[], None]] = None,
+        wall: float = 0.0,
+        attempt: int = 1,
+        session: int = 0,
     ) -> bool:
         """``claimed -> done`` if we still own the unit; exactly-once.
 
-        ``journal`` (the manifest append) runs *inside* the claim
-        transaction, after the owner-guarded UPDATE wins — so a worker
-        whose lease was reclaimed never journals, and a crash between
-        the journal append and the commit leaves the journal ahead of
-        the table, which :meth:`reconcile` repairs without re-running.
+        The manifest append runs *inside* the claim transaction, after
+        the owner-guarded UPDATE wins — so a worker whose lease was
+        reclaimed never journals, and a crash between the journal
+        append and the commit leaves the journal ahead of the table,
+        which :meth:`reconcile` repairs without re-running.  ``result``
+        is ignored: local results travel through the shared cache.
         Returns False when the lease was lost (the caller's result is
         already in the shared cache; nothing else to do).
         """
@@ -378,8 +394,10 @@ class ClaimQueue:
             )
             if cur.rowcount != 1:
                 return False
-            if journal is not None:
-                journal()
+            if self.manifest is not None:
+                self.manifest.record_done(
+                    unit_id, digest, wall, attempt, session
+                )
         return True
 
     def fail(
@@ -389,7 +407,8 @@ class ClaimQueue:
         *,
         max_attempts: int,
         backoff: float = 0.0,
-        journal: Optional[Callable[[], None]] = None,
+        attempt: int = 1,
+        session: int = 0,
     ) -> str:
         """Record one failed attempt; returns ``retry|failed|lost``.
 
@@ -422,8 +441,8 @@ class ClaimQueue:
                     " not_before=? WHERE unit_id=?",
                     (OPEN, str(error)[:500], now + backoff, unit_id),
                 )
-            if journal is not None:
-                journal()
+            if self.manifest is not None:
+                self.manifest.record_failed(unit_id, error, attempt, session)
         return "failed" if terminal else "retry"
 
     def mark_done(self, unit_id: str) -> None:
@@ -449,12 +468,28 @@ class ClaimQueue:
                 "SELECT status, COUNT(*) FROM units GROUP BY status"
             ).fetchall()
         )
+        (next_open,) = self._db.execute(
+            "SELECT MIN(not_before) FROM units WHERE status=?", (OPEN,)
+        ).fetchone()
         return QueueCounts(
             open=rows.get(OPEN, 0),
             claimed=rows.get(CLAIMED, 0),
             done=rows.get(DONE, 0),
             failed=rows.get(FAILED, 0),
+            wait=max(0.0, (next_open or 0.0) - self.clock()),
         )
+
+    def done_ids(self) -> Set[str]:
+        """Units the journal records ``done`` (re-read, so appends by
+        other workers count) — the authority claimed units are checked
+        against before they run."""
+        if self.manifest is None:
+            return set()
+        return self.manifest.reload().done_ids()
+
+    def fetch_result(self, digest: str) -> None:
+        """Local results live in the shared cache, never in the queue."""
+        return None
 
     def live_leases(self) -> int:
         """Claimed units whose owner is plausibly still working."""

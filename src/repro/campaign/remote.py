@@ -21,10 +21,11 @@ exactly-once journaling contract:
   exactly-once effects — a retried ``complete()`` can never
   double-journal.
 
-Result shipping rides the same channel.  A worker without the shared
-cache uploads its pickled :class:`~repro.arch.simulator.SimulationResult`
-blobs (content-addressed by JobKey digest, base64 over the wire);
-the server materializes them into the campaign cache with the same
+Result shipping rides the same channel: ``RemoteClaimQueue.complete``
+uploads the unit's pickled :class:`~repro.arch.simulator.SimulationResult`
+(content-addressed by JobKey digest, base64 over the wire) before it
+asks the server to complete, so a worker needs no shared cache.  The
+server materializes the blobs into the campaign cache with the same
 first-writer-wins rule as :meth:`ResultCache.store`.  **Admissibility
 rule:** the server refuses ``complete`` for a digest it does not hold,
 so a journaled ``done`` always has its result bytes on the server and
@@ -44,6 +45,7 @@ trust (a lab cluster, CI), not on the open internet.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import pickle
 import socket
@@ -54,7 +56,7 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Protocol, Union,
+    Callable, Dict, Iterable, List, Optional, Protocol, Set, Union,
 )
 
 from repro.arch.simulator import SimulationResult
@@ -97,28 +99,40 @@ class RemoteProtocolError(QueueError):
 
 class ClaimBackend(Protocol):
     """What :class:`~repro.campaign.runner.CampaignRunner` needs from a
-    claim queue — the narrow verb set ClaimQueue already exposes,
-    extracted so the SQLite and network backends are interchangeable.
+    claim queue — one signature for the SQLite queue (on disk or
+    ``":memory:"``) and the network client, so one drain loop serves
+    every campaign.
 
-    ``journals_remotely`` selects the journaling path: ``False`` means
-    ``complete``/``fail`` accept a ``journal=`` callback executed
-    inside the claim transaction (local SQLite); ``True`` means the
-    caller ships structured journal fields (``wall``/``attempt``/
-    ``session``) and the server appends on its side.
+    Journaling is the backend's job: ``complete``/``fail`` carry the
+    journal fields (``wall``/``attempt``/``session``) and the backend
+    appends inside its owner-guarded claim transaction — locally, or on
+    the server.  ``complete`` also receives the ``result``: a local
+    queue ignores it (results travel through the shared cache) and its
+    ``fetch_result`` returns None; the network client ships it before
+    completing and fetches journaled results back.
     """
 
-    journals_remotely: bool
     worker_id: str
-
-    def populate(self, unit_ids: Iterable[str], *,
-                 spec_digest: Optional[str] = None) -> int: ...
 
     def claim(self, limit: int, *, lease: float) -> List[ClaimedUnit]: ...
 
     def heartbeat(self, unit_ids: Iterable[str], *,
                   lease: float) -> int: ...
 
+    def complete(self, unit_id: str, digest: str,
+                 result: Optional[SimulationResult] = None, *,
+                 wall: float = 0.0, attempt: int = 1,
+                 session: int = 0) -> bool: ...
+
+    def fail(self, unit_id: str, error: str, *, max_attempts: int,
+             backoff: float = 0.0, attempt: int = 1,
+             session: int = 0) -> str: ...
+
     def mark_done(self, unit_id: str) -> None: ...
+
+    def done_ids(self) -> Set[str]: ...
+
+    def fetch_result(self, digest: str) -> Optional[SimulationResult]: ...
 
     def counts(self) -> QueueCounts: ...
 
@@ -178,13 +192,11 @@ class ClaimServer:
         self._token_cache_size = max(1, int(token_cache_size))
         self._methods: Dict[str, Callable[[str, dict], object]] = {
             "hello": self._rpc_hello,
-            "populate": self._rpc_populate,
             "claim": self._rpc_claim,
             "heartbeat": self._rpc_heartbeat,
             "complete": self._rpc_complete,
             "fail": self._rpc_fail,
             "mark_done": self._rpc_mark_done,
-            "reconcile": self._rpc_reconcile,
             "counts": self._rpc_counts,
             "done_ids": self._rpc_done_ids,
             "put_result": self._rpc_put_result,
@@ -202,8 +214,9 @@ class ClaimServer:
         q = self._queues.get(worker)
         if q is None:
             q = ClaimQueue(
-                self.dir / CLAIMS_NAME, worker_id=worker,
-                clock=self.clock, check_same_thread=False,
+                self.dir / CLAIMS_NAME, manifest=self.manifest,
+                worker_id=worker, clock=self.clock,
+                check_same_thread=False,
             )
             # Network workers get a synthetic host and a pid no local
             # process ever has, so claims between them can never take
@@ -280,12 +293,6 @@ class ClaimServer:
             "wire": WIRE_VERSION,
         }
 
-    def _rpc_populate(self, worker: str, params: dict) -> int:
-        return self._queue_for(worker).populate(
-            list(params.get("unit_ids") or []),
-            spec_digest=params.get("spec_digest"),
-        )
-
     def _rpc_claim(self, worker: str, params: dict) -> List[dict]:
         claimed = self._queue_for(worker).claim(
             int(params["limit"]), lease=float(params["lease"])
@@ -313,27 +320,19 @@ class ClaimServer:
             )
         committed = self._queue_for(worker).complete(
             unit_id, digest,
-            journal=lambda: self.manifest.record_done(
-                unit_id, digest,
-                float(params.get("wall", 0.0)),
-                int(params.get("attempt", 1)),
-                int(params.get("session", 0)),
-            ),
+            wall=float(params.get("wall", 0.0)),
+            attempt=int(params.get("attempt", 1)),
+            session=int(params.get("session", 0)),
         )
         return {"committed": committed}
 
     def _rpc_fail(self, worker: str, params: dict) -> dict:
-        unit_id = params["unit_id"]
-        error = str(params.get("error", ""))
         outcome = self._queue_for(worker).fail(
-            unit_id, error,
+            params["unit_id"], str(params.get("error", "")),
             max_attempts=int(params["max_attempts"]),
             backoff=float(params.get("backoff", 0.0)),
-            journal=lambda: self.manifest.record_failed(
-                unit_id, error,
-                int(params.get("attempt", 1)),
-                int(params.get("session", 0)),
-            ),
+            attempt=int(params.get("attempt", 1)),
+            session=int(params.get("session", 0)),
         )
         return {"outcome": outcome}
 
@@ -341,21 +340,11 @@ class ClaimServer:
         self._queue_for(worker).mark_done(params["unit_id"])
         return True
 
-    def _rpc_reconcile(self, worker: str, params: dict) -> dict:
-        return self._queue_for(worker).reconcile(
-            self.manifest,
-            reset_failed=bool(params.get("reset_failed", False)),
-        )
-
     def _rpc_counts(self, worker: str, params: dict) -> dict:
-        c = self._queue_for(worker).counts()
-        return {
-            "open": c.open, "claimed": c.claimed,
-            "done": c.done, "failed": c.failed,
-        }
+        return dataclasses.asdict(self._queue_for(worker).counts())
 
     def _rpc_done_ids(self, worker: str, params: dict) -> List[str]:
-        return sorted(self.manifest.reload().done_ids())
+        return sorted(self._queue_for(worker).done_ids())
 
     def _rpc_put_result(self, worker: str, params: dict) -> dict:
         digest = params["digest"]
@@ -505,8 +494,6 @@ class RemoteClaimQueue:
     whose response was torn cannot journal twice when retried.
     """
 
-    journals_remotely = True
-
     def __init__(
         self,
         server: Union[str, Transport],
@@ -584,14 +571,6 @@ class RemoteClaimQueue:
             mutating=True,
         )
 
-    def populate(self, unit_ids: Iterable[str], *,
-                 spec_digest: Optional[str] = None) -> int:
-        return self._call(
-            "populate",
-            {"unit_ids": list(unit_ids), "spec_digest": spec_digest},
-            mutating=True,
-        )
-
     def claim(self, limit: int, *, lease: float) -> List[ClaimedUnit]:
         rows = self._call(
             "claim", {"limit": int(limit), "lease": float(lease)},
@@ -623,18 +602,19 @@ class RemoteClaimQueue:
         self,
         unit_id: str,
         digest: str,
+        result: Optional[SimulationResult] = None,
         *,
         wall: float = 0.0,
         attempt: int = 1,
         session: int = 0,
-        journal: Optional[Callable[[], None]] = None,
     ) -> bool:
-        if journal is not None:
-            raise QueueError(
-                "the remote backend journals on the server; pass "
-                "wall=/attempt=/session= instead of journal="
-            )
-        result = self._call(
+        """Ship ``result`` (unless None: already on the server), then
+        complete; the server journals inside its claim transaction."""
+        if result is not None:
+            # Ship before complete: the server refuses a done unit
+            # whose result bytes it does not hold.
+            self.ship_result(digest, result)
+        reply = self._call(
             "complete",
             {
                 "unit_id": unit_id, "digest": digest,
@@ -643,7 +623,7 @@ class RemoteClaimQueue:
             },
             mutating=True,
         )
-        return bool(result["committed"])
+        return bool(reply["committed"])
 
     def fail(
         self,
@@ -654,13 +634,7 @@ class RemoteClaimQueue:
         backoff: float = 0.0,
         attempt: int = 1,
         session: int = 0,
-        journal: Optional[Callable[[], None]] = None,
     ) -> str:
-        if journal is not None:
-            raise QueueError(
-                "the remote backend journals on the server; pass "
-                "attempt=/session= instead of journal="
-            )
         result = self._call(
             "fail",
             {
@@ -675,15 +649,6 @@ class RemoteClaimQueue:
 
     def mark_done(self, unit_id: str) -> None:
         self._call("mark_done", {"unit_id": unit_id}, mutating=True)
-
-    def reconcile(self, manifest=None, *,
-                  reset_failed: bool = False) -> dict:
-        # The server's journal is the authority; a client-side manifest
-        # argument is accepted for signature compatibility and ignored.
-        return self._call(
-            "reconcile", {"reset_failed": bool(reset_failed)},
-            mutating=True,
-        )
 
     def counts(self) -> QueueCounts:
         return QueueCounts(**self._call("counts"))

@@ -7,25 +7,29 @@ use and goes through the same :class:`~repro.runtime.ParallelRunner`
 (memory -> disk cache -> execution), so campaigns and ad-hoc runs share
 one cache namespace.  What the campaign layer adds:
 
-* a **persistent manifest** (``manifest.jsonl``) appended as units
-  finish, so a ``SIGKILL``-ed campaign resumes exactly where it
-  stopped: manifest-``done`` units are never re-simulated (their
-  results come back through the warm disk cache), in-flight units
-  simply rerun;
-* a **claim queue** (``claims.sqlite``, :mod:`repro.campaign.queue`)
-  beside the journal, turning an on-disk campaign into a shared work
-  pool: any number of workers (``repro sweep worker`` processes, or
-  the children behind ``run(workers=N)``) atomically claim open units
-  under a heartbeat lease, so a killed or hung worker's units return
-  to the queue and each completion is journaled exactly once;
+* **one drain loop** (:meth:`CampaignRunner._drain`) over one claim
+  backend signature (:class:`~repro.campaign.remote.ClaimBackend`):
+  an in-memory campaign is a :class:`~repro.campaign.queue.ClaimQueue`
+  on SQLite ``":memory:"``, an on-disk one shares ``claims.sqlite``
+  with any number of workers (``repro sweep worker`` processes, or the
+  children behind ``run(workers=N)``), and a remote worker drains a
+  :class:`~repro.campaign.remote.RemoteClaimQueue`.  Workers claim
+  units under a heartbeat lease, so a killed or hung worker's units
+  return to the queue;
+* a **persistent manifest** (``manifest.jsonl``) the backend appends
+  inside its owner-guarded claim transaction, so each completion is
+  journaled exactly once and a ``SIGKILL``-ed campaign resumes exactly
+  where it stopped: manifest-``done`` units are never re-simulated
+  (their results come back through the warm disk cache), in-flight
+  units simply rerun;
 * **chunked** execution bounding how much work an interruption can
-  lose (a small trace-amortized chunk when serial — see
-  :mod:`repro.runtime.batch` — twice the worker count when pooled);
+  lose (a small chunk when serial, twice the worker count when
+  pooled);
 * per-unit **failure isolation** with capped exponential-backoff
   retries — one diverging simulation fails its unit, not the campaign;
 * a deterministic **summary** (``summary.json`` / ``report.txt``):
   a pure function of the results, so the artifacts are byte-identical
-  regardless of worker count, interruption, or claim order.
+  regardless of worker count, interruption, drain, or claim order.
 """
 
 from __future__ import annotations
@@ -35,9 +39,12 @@ import json
 import os
 import tempfile
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.analysis.characterize import characterize_result, class_winners
 from repro.analysis.metrics import geomean_improvement
@@ -56,6 +63,9 @@ from repro.campaign.spec import BASELINE_LABEL, SweepSpec, SweepUnit
 from repro.config import DEFAULT_CONFIG, ArchConfig
 from repro.runtime import ParallelRunner, RunnerStats, RuntimeOptions
 from repro.runtime.backoff import backoff_delay
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.campaign.remote import ClaimBackend
 
 SPEC_NAME = "spec.json"
 SUMMARY_NAME = "summary.json"
@@ -117,10 +127,10 @@ class CampaignRunner:
     """Execute sweep units with manifest journaling and retries.
 
     ``root=None`` (with ``manifest=None``) runs fully in memory — no
-    campaign directory, an in-memory journal — which is exactly what
-    the tuner's candidate evaluations need.  ``engine`` optionally
-    injects an existing :class:`ParallelRunner` (shares its in-memory
-    result table); otherwise engines are created lazily per
+    campaign directory, an in-memory journal and claim queue — which is
+    exactly what the tuner's candidate evaluations need.  ``engine``
+    optionally injects an existing :class:`ParallelRunner` (shares its
+    in-memory result table); otherwise engines are created lazily per
     ``(mesh, engine_profile)``.
     """
 
@@ -159,6 +169,7 @@ class CampaignRunner:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._sleep = sleep
+        self._slept = 0.0   #: seconds napped so far (in-memory clock)
         if manifest is not None:
             self.manifest = manifest
         elif self.dir is not None:
@@ -194,11 +205,9 @@ class CampaignRunner:
         if self.chunk_size is not None:
             return max(1, int(self.chunk_size))
         if not self.options.parallel:
-            # Serial campaigns historically chunked at 1 to minimize the
-            # interruption window; with the batch executor on, a small
-            # chunk lets each trace be generated once per chunk instead
-            # of once per unit, at a bounded journaling granularity.
-            return 8 if self.options.batch else 1
+            # A small serial chunk bounds what an interruption can lose
+            # while keeping claim/reload transactions per unit low.
+            return 8
         return max(1, 2 * self.options.effective_jobs)
 
     def _backoff(self, attempt: int) -> float:
@@ -206,261 +215,195 @@ class CampaignRunner:
             attempt, base=self.backoff_base, cap=self.backoff_cap
         )
 
+    def _nap(self, seconds: float) -> None:
+        self._slept += seconds
+        self._sleep(seconds)
+
     # ------------------------------------------------------------------
-    # execution
+    # execution: every campaign drains one claim queue
     # ------------------------------------------------------------------
     def submit(
         self,
         units: Sequence[SweepUnit],
         *,
         session: Optional[int] = None,
-        record: bool = True,
     ) -> Dict[str, SimulationResult]:
         """Resolve every unit to a result; journal as units finish.
 
-        Units the manifest already marks ``done`` are *not* counted as
-        new work — they resolve through the (warm) cache layers without
-        a fresh journal entry, which is what makes resume idempotent.
-        Returns ``unit_id -> SimulationResult`` for every unit that
-        succeeded (failed units are journaled and skipped).
+        The units drain through an in-memory claim queue over this
+        runner's manifest.  Units the manifest already marks ``done``
+        are *not* counted as new work — they resolve through the (warm)
+        cache layers without a fresh journal entry, which is what makes
+        resume idempotent.  Returns ``unit_id -> SimulationResult`` for
+        every unit that succeeded (failed units are journaled and
+        skipped).
         """
-        done_ids = self.manifest.done_ids() if record else set()
-        if session is None and record:
+        if session is None:
             session = self.manifest.start_session()
+        # One worker owns the table, so its clock only has to advance
+        # through our own naps, and an empty claim can only mean a retry
+        # backoff: wait out exactly that (never longer than the cap).
+        queue = self._local_queue(
+            ":memory:", units, clock=lambda: self._slept
+        )
+        with closing(queue):
+            results = self._drain(
+                queue, units, session, poll=self.backoff_cap
+            )
+        return self._resolve_rest(units, results)
 
-        by_unit: Dict[str, SweepUnit] = {}
-        finished: List[SweepUnit] = []
-        pending: List[SweepUnit] = []
-        for unit in units:
-            if unit.unit_id in by_unit:
-                continue
-            by_unit[unit.unit_id] = unit
-            (finished if unit.unit_id in done_ids else pending).append(unit)
+    def _local_queue(self, path: Union[str, Path],
+                     units: Sequence[SweepUnit], **kwargs) -> ClaimQueue:
+        """A SQLite claim queue journaling into our manifest, holding a
+        row per unit and reconciled against the journal (failed units
+        reopened for a fresh attempt budget)."""
+        queue = ClaimQueue(path, manifest=self.manifest, **kwargs)
+        queue.populate(
+            [u.unit_id for u in units],
+            spec_digest=(
+                self.spec.spec_digest() if self.spec is not None else None
+            ),
+        )
+        queue.reconcile(self.manifest, reset_failed=True)
+        return queue
 
-        results: Dict[str, SimulationResult] = {}
-
-        # Already-done units: resolve through the cache (no new journal
-        # rows; a cold cache transparently recomputes, which only costs
-        # time — the journal stays truthful either way).
-        for unit in finished:
-            engine = self.engine_for(unit)
-            results[unit.unit_id] = engine.run(unit.job_key(self.base_cfg))
-
-        attempts: Dict[str, int] = {}
-        round_no = 0
-        while pending and round_no < self.max_attempts:
-            round_no += 1
-            if round_no > 1:
-                self._sleep(self._backoff(round_no - 1))
-            failed_this_round: List[SweepUnit] = []
-            chunk = self._effective_chunk()
-            for start in range(0, len(pending), chunk):
-                batch = pending[start:start + chunk]
-                self._run_batch(
-                    batch, results, failed_this_round, attempts,
-                    session, record,
-                )
-            pending = failed_this_round
-        return results
-
-    def _run_batch(
-        self,
-        batch: Sequence[SweepUnit],
-        results: Dict[str, SimulationResult],
-        failed: List[SweepUnit],
-        attempts: Dict[str, int],
-        session: Optional[int],
-        record: bool,
-    ) -> None:
-        """One chunk: batched fan-out, then per-unit fallback on error."""
-        groups: Dict[tuple, List[SweepUnit]] = {}
-        for unit in batch:
-            groups.setdefault((unit.mesh, unit.engine_profile), []).append(unit)
-        for units in groups.values():
-            engine = self.engine_for(units[0])
-            keys = [u.job_key(self.base_cfg) for u in units]
-            t0 = len(self.stats.job_times)
-            try:
-                batch_out = engine.run_many(keys)
-            except Exception:
-                # run_many aborts the chunk on the first in-process
-                # error; rerun unit-by-unit so one diverging simulation
-                # fails one unit, not its chunk-mates.
-                batch_out = None
-            walls = dict(self.stats.job_times[t0:])
-            for unit, key in zip(units, keys):
-                attempts[unit.unit_id] = attempts.get(unit.unit_id, 0) + 1
-                try:
-                    if batch_out is not None:
-                        result = batch_out[key]
-                    else:
-                        result = engine.run(key)
-                except Exception as exc:  # journal + queue for retry
-                    if record:
-                        self.manifest.record_failed(
-                            unit.unit_id, f"{type(exc).__name__}: {exc}",
-                            attempts[unit.unit_id], session or 0,
-                        )
-                    failed.append(unit)
-                    continue
-                results[unit.unit_id] = result
-                if record:
-                    self.manifest.record_done(
-                        unit.unit_id, key.cache_digest(),
-                        walls.get(key.describe(), 0.0),
-                        attempts[unit.unit_id], session or 0,
-                    )
-
-    # ------------------------------------------------------------------
-    # queue-based execution (every on-disk campaign)
-    # ------------------------------------------------------------------
     def _drain(
         self,
-        queue: ClaimQueue,
-        by_id: Dict[str, SweepUnit],
-        results: Dict[str, SimulationResult],
+        queue: ClaimBackend,
+        units: Sequence[SweepUnit],
         session: int,
-        lease: float,
-        poll: float,
-    ) -> None:
+        *,
+        lease: Optional[float] = None,
+        poll: Optional[float] = None,
+    ) -> Dict[str, SimulationResult]:
         """Claim-and-run until no unit is ``open`` or ``claimed``.
 
-        An empty claim with active units left means other workers hold
-        live leases — poll until they finish (or their leases lapse and
-        the units come back to us).
+        The one drain loop of every campaign — in memory, on disk, or
+        remote.  An empty claim with active units left means retry
+        backoffs or other workers' live leases: nap until the earliest
+        backoff ends, at most ``poll`` seconds, and claim again.
+        Returns the results this drain produced.
         """
+        lease = DEFAULT_LEASE if lease is None else float(lease)
+        poll = DEFAULT_POLL if poll is None else float(poll)
+        by_id = {u.unit_id: u for u in units}
+        results: Dict[str, SimulationResult] = {}
         while True:
             batch = queue.claim(self._effective_chunk(), lease=lease)
-            if not batch:
-                if queue.counts().active == 0:
-                    return
-                self._sleep(poll)
+            if batch:
+                self._work_claimed(
+                    queue, batch, by_id, results, session, lease
+                )
                 continue
-            self._work_claimed(queue, batch, by_id, results, session, lease)
+            counts = queue.counts()
+            if counts.active == 0:
+                return results
+            self._nap(min(poll, counts.wait) if counts.wait else poll)
 
     def _work_claimed(
         self,
-        queue: ClaimQueue,
+        queue: ClaimBackend,
         batch: Sequence[ClaimedUnit],
         by_id: Dict[str, SweepUnit],
         results: Dict[str, SimulationResult],
         session: int,
         lease: float,
     ) -> None:
-        """Run one claimed batch; journal through the queue's
-        exactly-once ``complete``/``fail`` transactions.
+        """Run one claimed chunk; the backend journals every outcome
+        exactly once inside its claim transaction.
 
-        Works against either claim backend: the local SQLite queue
-        journals through ``journal=`` callbacks inside its own
-        transaction, while a backend with ``journals_remotely`` ships
-        results plus structured journal fields and the *server*
-        appends (see :mod:`repro.campaign.remote`).
+        The lease is renewed once per engine group, right before it
+        runs, and per unit only when the group falls back to per-unit
+        reruns (each rerun is a fresh stretch of work).
         """
-        remote = getattr(queue, "journals_remotely", False)
         # Crash-window repair: a unit can be journaled ``done`` while
         # its claim-row commit was lost (the writer died between the
         # manifest append and the sqlite COMMIT).  The journal is the
-        # authority — repair the row and resolve through the warm cache
-        # instead of re-running and double-journaling.
-        done_now = (
-            queue.done_ids() if remote
-            else self.manifest.reload().done_ids()
-        )
-        todo: List[tuple] = []
+        # authority — repair the row and resolve the result instead of
+        # re-running and double-journaling.
+        done_now = queue.done_ids()
+        groups: Dict[tuple, List[tuple]] = {}
         for cu in batch:
             unit = by_id.get(cu.unit_id)
             if unit is None:
-                queue.fail(cu.unit_id, "unit not in spec", max_attempts=0)
-                continue
-            if cu.unit_id in done_now:
+                queue.fail(cu.unit_id, "unit not in spec", max_attempts=0,
+                           attempt=cu.attempt, session=session)
+            elif cu.unit_id in done_now:
                 queue.mark_done(cu.unit_id)
-                results[cu.unit_id] = self._resolve_done(queue, unit, remote)
-                continue
-            todo.append((cu, unit))
-
-        groups: Dict[tuple, List[tuple]] = {}
-        for cu, unit in todo:
-            groups.setdefault(
-                (unit.mesh, unit.engine_profile), []
-            ).append((cu, unit))
+                results[cu.unit_id] = self._resolve_done(queue, unit)
+            else:
+                groups.setdefault(
+                    (unit.mesh, unit.engine_profile), []
+                ).append((cu, unit))
         for members in groups.values():
             engine = self.engine_for(members[0][1])
             keys = [u.job_key(self.base_cfg) for _, u in members]
-            ours = [cu.unit_id for cu, _ in members]
-            queue.heartbeat(ours, lease=lease)
+            queue.heartbeat([cu.unit_id for cu, _ in members], lease=lease)
             t0 = len(self.stats.job_times)
             try:
-                batch_out = engine.run_many(keys)
-            except Exception:
+                outcomes = engine.run_many(keys)
+            except Exception as exc:
                 # Rerun unit-by-unit so one diverging simulation fails
                 # one unit, not its chunk-mates.
-                batch_out = None
-            walls = dict(self.stats.job_times[t0:])
+                self.stats.record_fallback(exc)
+                outcomes = None
             for (cu, unit), key in zip(members, keys):
-                queue.heartbeat(ours, lease=lease)
                 try:
-                    if batch_out is not None:
-                        result = batch_out[key]
-                    else:
+                    if outcomes is None:
+                        queue.heartbeat([cu.unit_id], lease=lease)
                         result = engine.run(key)
-                except Exception as exc:
-                    msg = f"{type(exc).__name__}: {exc}"
-                    if remote:
-                        queue.fail(
-                            cu.unit_id, msg,
-                            max_attempts=self.max_attempts,
-                            backoff=self._backoff(cu.attempt),
-                            attempt=cu.attempt, session=session,
-                        )
                     else:
-                        queue.fail(
-                            cu.unit_id, msg,
-                            max_attempts=self.max_attempts,
-                            backoff=self._backoff(cu.attempt),
-                            journal=lambda: self.manifest.record_failed(
-                                cu.unit_id, msg, cu.attempt, session
-                            ),
-                        )
-                    continue
-                if remote:
-                    # Ship before complete: the server refuses a done
-                    # unit whose result bytes it does not hold.
-                    queue.ship_result(key.cache_digest(), result)
-                    committed = queue.complete(
-                        cu.unit_id, key.cache_digest(),
-                        wall=walls.get(key.describe(), 0.0),
+                        result = outcomes[key]
+                except Exception as exc:
+                    queue.fail(
+                        cu.unit_id, f"{type(exc).__name__}: {exc}",
+                        max_attempts=self.max_attempts,
+                        backoff=self._backoff(cu.attempt),
                         attempt=cu.attempt, session=session,
                     )
-                else:
-                    committed = queue.complete(
-                        cu.unit_id, key.cache_digest(),
-                        journal=lambda: self.manifest.record_done(
-                            cu.unit_id, key.cache_digest(),
-                            walls.get(key.describe(), 0.0), cu.attempt,
-                            session
-                        ),
-                    )
-                if committed:
+                    continue
+                # The runtime's own timing of this very key (zero for a
+                # cache hit) — never a same-description twin's.
+                wall = dict(self.stats.job_times[t0:]).get(key, 0.0)
+                if queue.complete(
+                    cu.unit_id, key.cache_digest(), result,
+                    wall=wall, attempt=cu.attempt, session=session,
+                ):
                     results[cu.unit_id] = result
                 # else: our lease was reclaimed mid-run — the winner
                 # journals; our result stays in the shared cache.
 
-    def _resolve_done(self, queue, unit: SweepUnit,
-                      remote: bool) -> SimulationResult:
+    def _resolve_done(self, queue: ClaimBackend,
+                      unit: SweepUnit) -> SimulationResult:
         """Resolve an already-journaled unit to its result.
 
-        Locally the warm shared cache answers.  Remotely the bytes may
-        only exist on the server — fetch them (priming our cache when
-        we have one) rather than re-simulating.
+        A remote backend may hold the only copy — fetch it (priming our
+        cache when we have one) rather than re-simulating; otherwise
+        the warm shared cache answers.
         """
         key = unit.job_key(self.base_cfg)
         engine = self.engine_for(unit)
-        if remote:
-            fetched = queue.fetch_result(key.cache_digest())
-            if fetched is not None:
-                engine.cache.store(key.cache_digest(), fetched)
-                return fetched
+        fetched = queue.fetch_result(key.cache_digest())
+        if fetched is not None:
+            engine.cache.store(key.cache_digest(), fetched)
+            return fetched
         return engine.run(key)
+
+    def _resolve_rest(
+        self,
+        units: Sequence[SweepUnit],
+        results: Dict[str, SimulationResult],
+    ) -> Dict[str, SimulationResult]:
+        """Add every manifest-done unit this drain did not produce
+        (earlier sessions, other workers) through the (warm) cache, so
+        the caller sees every done unit."""
+        done = self.manifest.reload().done_ids()
+        for unit in units:
+            if unit.unit_id in done and unit.unit_id not in results:
+                results[unit.unit_id] = self.engine_for(unit).run(
+                    unit.job_key(self.base_cfg)
+                )
+        return results
 
     def _run_shared(
         self,
@@ -472,32 +415,17 @@ class CampaignRunner:
         poll: float = DEFAULT_POLL,
     ) -> Dict[str, SimulationResult]:
         """Drive an on-disk campaign through the claim queue."""
-        by_id = {u.unit_id: u for u in units}
-        results: Dict[str, SimulationResult] = {}
-        queue = ClaimQueue(self.dir / CLAIMS_NAME)
-        try:
-            queue.populate(
-                [u.unit_id for u in units],
-                spec_digest=self.spec.spec_digest(),
-            )
-            queue.reconcile(self.manifest, reset_failed=True)
+        queue = self._local_queue(self.dir / CLAIMS_NAME, units)
+        with closing(queue):
             if workers > 1:
                 self._spawn_workers(workers, lease, poll)
                 queue.reconcile(self.manifest)
             # Drain (sole worker when workers == 1; the safety net that
             # reclaims a crashed child's leftovers otherwise).
-            self._drain(queue, by_id, results, session, lease, poll)
-        finally:
-            queue.close()
-        # Units completed by other workers or earlier sessions: resolve
-        # through the (warm) cache so the summary covers every done unit.
-        done = self.manifest.reload().done_ids()
-        for unit in units:
-            if unit.unit_id in done and unit.unit_id not in results:
-                results[unit.unit_id] = self.engine_for(unit).run(
-                    unit.job_key(self.base_cfg)
-                )
-        return results
+            results = self._drain(
+                queue, units, session, lease=lease, poll=poll
+            )
+        return self._resolve_rest(units, results)
 
     def _spawn_workers(self, workers: int, lease: float,
                        poll: float) -> None:
@@ -549,26 +477,19 @@ class CampaignRunner:
                 "worker attach needs the persistent result cache "
                 "(set cache_dir; --no-cache cannot share results)"
             )
-        lease = DEFAULT_LEASE if lease is None else float(lease)
-        poll = DEFAULT_POLL if poll is None else float(poll)
         units = self.spec.expand()
-        by_id = {u.unit_id: u for u in units}
         self.manifest.write_header(
             self.campaign_id or self.spec.campaign_id,
             self.spec.spec_digest(), len(units),
         )
         session = self.manifest.start_session(resume=True)
-        results: Dict[str, SimulationResult] = {}
-        queue = ClaimQueue(cdir / CLAIMS_NAME, worker_id=worker_id)
-        try:
-            queue.populate(
-                [u.unit_id for u in units],
-                spec_digest=self.spec.spec_digest(),
+        queue = self._local_queue(
+            cdir / CLAIMS_NAME, units, worker_id=worker_id
+        )
+        with closing(queue):
+            results = self._drain(
+                queue, units, session, lease=lease, poll=poll
             )
-            queue.reconcile(self.manifest, reset_failed=True)
-            self._drain(queue, by_id, results, session, lease, poll)
-        finally:
-            queue.close()
         finalized = False
         if finalize:
             finalized = self._finalize(units, session)
@@ -593,7 +514,7 @@ class CampaignRunner:
         constructed :class:`~repro.campaign.remote.RemoteClaimQueue`.
         Unlike :meth:`attach_worker`, no campaign directory and no
         shared cache are required: the spec arrives in the ``hello``
-        reply, results ship to the server as pickled blobs, and every
+        reply, ``complete`` ships each result to the server, and every
         journal append happens server-side inside the claim
         transaction.
         """
@@ -605,9 +526,7 @@ class CampaignRunner:
             queue = RemoteClaimQueue(
                 server, worker_id=worker_id, timeout=timeout
             )
-        lease = DEFAULT_LEASE if lease is None else float(lease)
-        poll = DEFAULT_POLL if poll is None else float(poll)
-        try:
+        with closing(queue):
             hello = queue.hello(
                 spec_digest=(
                     self.spec.spec_digest()
@@ -617,13 +536,10 @@ class CampaignRunner:
             if self.spec is None:
                 self.spec = SweepSpec.from_dict(hello["spec"])
             self.campaign_id = hello["campaign"]
-            session = int(hello["session"])
-            units = self.spec.expand()
-            by_id = {u.unit_id: u for u in units}
-            results: Dict[str, SimulationResult] = {}
-            self._drain(queue, by_id, results, session, lease, poll)
-        finally:
-            queue.close()
+            results = self._drain(
+                queue, self.spec.expand(), int(hello["session"]),
+                lease=lease, poll=poll,
+            )
         return WorkerResult(
             worker_id=queue.worker_id, results=results,
             stats=self.stats, finalized=False,
@@ -632,26 +548,31 @@ class CampaignRunner:
     def _finalize(self, units: Sequence[SweepUnit], session: int) -> bool:
         """Write summary/report if every unit is terminal (else False)."""
         state = self.manifest.reload().state()
-        terminal = {
-            uid for uid, st in state.units.items()
-            if st.status in ("done", "failed")
-        }
-        if any(u.unit_id not in terminal for u in units):
+        if any(
+            state.unit(u.unit_id).status not in ("done", "failed")
+            for u in units
+        ):
             return False
-        results: Dict[str, SimulationResult] = {}
-        for unit in units:
-            if state.units[unit.unit_id].done:
-                results[unit.unit_id] = self.engine_for(unit).run(
-                    unit.job_key(self.base_cfg)
-                )
+        self._materialize(units, self._resolve_rest(units, {}), session)
+        return True
+
+    def _materialize(
+        self,
+        units: Sequence[SweepUnit],
+        results: Dict[str, SimulationResult],
+        session: int,
+    ) -> Tuple[dict, str, ManifestState]:
+        """Summarize ``results``, write the artifacts (on-disk
+        campaigns) and journal the session's ``complete`` marker."""
+        state = self.manifest.reload().state()
         summary = self._summarize(units, results, state)
-        _write_atomic(
-            self.dir / SUMMARY_NAME,
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-        )
-        _write_atomic(
-            self.dir / REPORT_NAME, self._render_report(summary) + "\n"
-        )
+        report = self._render_report(summary)
+        if self.dir is not None:
+            _write_atomic(
+                self.dir / SUMMARY_NAME,
+                json.dumps(summary, indent=2, sort_keys=True) + "\n",
+            )
+            _write_atomic(self.dir / REPORT_NAME, report + "\n")
         self.manifest.record_complete(session, {
             "units": len(units),
             "done": len(results),
@@ -660,7 +581,7 @@ class CampaignRunner:
             "disk_hits": self.stats.disk_hits,
             "mem_hits": self.stats.mem_hits,
         })
-        return True
+        return summary, report, state
 
     # ------------------------------------------------------------------
     # the campaign entrypoint
@@ -714,23 +635,7 @@ class CampaignRunner:
                 units, session=session, workers=workers
             )
 
-        state = self.manifest.reload().state()
-        summary = self._summarize(units, results, state)
-        report = self._render_report(summary)
-        if cdir is not None:
-            _write_atomic(
-                cdir / SUMMARY_NAME,
-                json.dumps(summary, indent=2, sort_keys=True) + "\n",
-            )
-            _write_atomic(cdir / REPORT_NAME, report + "\n")
-        self.manifest.record_complete(session, {
-            "units": len(units),
-            "done": len(results),
-            "failed": len(units) - len(results),
-            "executed": self.stats.executed,
-            "disk_hits": self.stats.disk_hits,
-            "mem_hits": self.stats.mem_hits,
-        })
+        summary, report, state = self._materialize(units, results, session)
         return CampaignResult(
             campaign_id=self.campaign_id or self.spec.campaign_id,
             root=cdir, spec=self.spec, results=results,

@@ -39,8 +39,10 @@ import random
 import urllib.parse
 from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
-#: Wire-protocol version; ``hello`` rejects a mismatched client.
-WIRE_VERSION = 1
+#: Wire-protocol version; ``hello`` rejects a mismatched client.  v2:
+#: ``counts`` replies carry ``wait``; ``populate``/``reconcile`` are
+#: server-side only.
+WIRE_VERSION = 2
 
 #: The RPC endpoint every request POSTs to.
 RPC_PATH = "/rpc"

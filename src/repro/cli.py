@@ -44,7 +44,6 @@ RUNTIME_FLAGS = (
     "--timeout",
     "--trace-events",
     "--engine-profile",
-    "--no-batch",
     "--tunables",
 )
 
@@ -82,7 +81,6 @@ def _runtime_options(args: argparse.Namespace):
         timeout=args.timeout,
         trace_events=getattr(args, "trace_events", None),
         engine_profile=getattr(args, "engine_profile", "optimized"),
-        batch=not getattr(args, "no_batch", False),
     )
 
 
@@ -123,11 +121,6 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
         choices=ENGINE_PROFILES,
         help="simulation-engine implementation (perf knob only; all "
              "profiles are pinned cycle-identical and share cache keys)",
-    )
-    p.add_argument(
-        "--no-batch", action="store_true", dest="no_batch",
-        help="disable the batch simulation executor (strictly per-unit "
-             "execution; results are pinned byte-identical either way)",
     )
 
 

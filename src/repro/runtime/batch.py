@@ -1,10 +1,10 @@
-"""Batch-of-simulations executor: amortize per-job setup across a chunk.
+"""Chunk executor: run a chunk of jobs in one call, sharing setup.
 
-The per-unit execution core (:func:`repro.runtime.parallel.execute_job`)
-re-generates the instruction trace for every job, even though a lineup
-or a sweep chunk replays the *same* benchmark/variant/scale under many
-schemes.  The batch executor runs a whole chunk of
-:class:`~repro.runtime.keys.JobKey` jobs in one call and shares
+The process pool ships every multi-job chunk through
+:func:`_pool_batch_worker`, and ``repro bench``'s lineup tier times
+:func:`execute_batch` directly.  A lineup or a sweep chunk replays the
+*same* benchmark/variant/scale under many schemes; the executor runs a
+whole chunk of :class:`~repro.runtime.keys.JobKey` jobs and shares
 everything that is pure per trace signature:
 
 * **trace generation** — one process-wide LRU keyed by the full trace
@@ -18,12 +18,14 @@ everything that is pure per trace signature:
   (:mod:`repro.arch.routing`); a batch touches each exactly once and
   every subsequent job rides the warm entries.
 
-Results are byte-identical to per-unit execution — ``execute_batch``
+Results are byte-identical to per-job execution — ``execute_batch``
 calls the same :func:`execute_job` core, just with the trace handed in
-— pinned by ``tests/test_batch.py`` and the campaign byte-identity
-test.  Faults inside a pooled batch degrade to per-unit execution (the
-:class:`~repro.runtime.parallel.ParallelRunner` side); this module
-itself stays fault-agnostic and deterministic.
+— pinned by ``tests/test_batch.py``.  The trace LRU duplicates
+:mod:`repro.workloads.tracegen`'s own process-wide cache, which already
+hands every job the same trace object.  Faults inside a pooled chunk
+degrade to singleton chunks (the
+:class:`~repro.runtime.parallel.ParallelRunner` fault ladder); this
+module itself stays fault-agnostic and deterministic.
 """
 
 from __future__ import annotations
@@ -84,9 +86,8 @@ def execute_batch(
 ) -> Iterator[Tuple[JobKey, SimulationResult, float]]:
     """Execute ``keys`` in order, yielding ``(key, result, seconds)``.
 
-    Lazy by design: the serial path consumes it incrementally, so a
-    mid-batch fault leaves every already-yielded result committed and
-    only the remainder falls back to per-unit execution.
+    Lazy: nothing runs before iteration, and a consumer may stop
+    early.
     """
     from repro.runtime.parallel import execute_job
 

@@ -5,20 +5,26 @@ jobs with three layers of reuse and a deterministic execution core:
 
 1. an in-memory result table (same-object hits within one process),
 2. the persistent content-addressed cache (:mod:`repro.runtime.cache`),
-3. actual execution — in-process for single jobs, or fanned out over a
-   ``concurrent.futures.ProcessPoolExecutor`` for batches.
+3. actual execution — one serial in-process loop, or chunks fanned out
+   over a ``concurrent.futures.ProcessPoolExecutor``.
 
 Because every job is an *independent* simulation (the simulator carries
 no cross-run state and uses no global RNG), serial, parallel, and
 cache-hit executions produce bit-identical :class:`SimulationResult`s;
-``tests/test_runtime_parallel.py`` pins that property.
+``tests/test_runtime_parallel.py`` pins that property.  Trace sharing
+needs no executor of its own: :func:`~repro.workloads.tracegen.\
+compiled_trace`'s process-wide cache hands every job of a lineup the
+same trace object, in the serial loop and inside each pool worker.
 
-Failure handling:
+Failure handling is one ladder (:meth:`ParallelRunner._run_pool`):
 
-* a worker crash (``BrokenProcessPool``) retries the remaining jobs
-  once on a fresh pool, then degrades to serial in-process execution;
-* a per-job timeout or an in-worker exception falls back to serial
-  in-process execution of that job (the batch always completes);
+* a multi-job chunk that crashes, times out or raises is retried as
+  singleton chunks; a singleton that times out or raises reruns
+  in-process;
+* a broken pool (``BrokenProcessPool``) is rebuilt up to ``retries``
+  times, after which whatever is left runs in-process — the batch
+  always completes;
+* every fallback appends its cause to ``RunnerStats.fallbacks``;
 * ``jobs=1`` (the default) never creates a pool at all.
 """
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -71,10 +78,6 @@ class RuntimeOptions:
     #: cycle-identical by the differential harness, so the profile
     #: deliberately does NOT enter :class:`JobKey` cache keys.
     engine_profile: str = OPTIMIZED
-    #: amortize trace generation and warm caches across a chunk of jobs
-    #: (:mod:`repro.runtime.batch`); ``--no-batch`` restores strictly
-    #: per-unit execution.  Results are pinned byte-identical either way.
-    batch: bool = True
 
     def __post_init__(self) -> None:
         if self.engine_profile not in ENGINE_PROFILES:
@@ -109,11 +112,15 @@ class RunnerStats:
     retries: int = 0
     timeouts: int = 0
     worker_failures: int = 0
-    #: (job description, wall seconds) per executed job
-    job_times: List[Tuple[str, float]] = field(default_factory=list)
+    #: (job key, wall seconds) per executed job
+    job_times: List[Tuple[JobKey, float]] = field(default_factory=list)
     #: resource -> [reservations, busy cycles, stall cycles], aggregated
     #: over every executed (non-cache-hit) job in this runtime
     resource_util: Dict[str, List[int]] = field(default_factory=dict)
+    #: why execution degraded, ``"<ExcType>: <message>"`` per fallback: a
+    #: pool chunk split into singletons, a job rerun in-process, a
+    #: campaign chunk rerun unit by unit
+    fallbacks: List[str] = field(default_factory=list)
 
     @property
     def executed(self) -> int:
@@ -147,10 +154,18 @@ class RunnerStats:
             f"  fault: {self.retries} pool retries, {self.timeouts} "
             f"timeouts, {self.worker_failures} worker failures",
         ]
+        if self.fallbacks:
+            lines.append("  fallbacks (why execution degraded):")
+            lines.extend(
+                f"    {n}x {cause}"
+                for cause, n in Counter(self.fallbacks).most_common()
+            )
         slowest = sorted(self.job_times, key=lambda jt: -jt[1])[:top]
         if slowest:
             lines.append("  slowest jobs:")
-            lines.extend(f"    {t:8.3f}s  {name}" for name, t in slowest)
+            lines.extend(
+                f"    {t:8.3f}s  {key.describe()}" for key, t in slowest
+            )
         hottest = sorted(
             self.resource_util.items(), key=lambda nu: -nu[1][2]
         )[:top]
@@ -169,6 +184,10 @@ class RunnerStats:
             acc = self.resource_util.setdefault(name, [0, 0, 0])
             for i, v in enumerate(counts):
                 acc[i] += v
+
+    def record_fallback(self, exc: BaseException) -> None:
+        """Keep the cause of one fallback (see :attr:`fallbacks`)."""
+        self.fallbacks.append(f"{type(exc).__name__}: {exc}")
 
 
 # ======================================================================
@@ -309,9 +328,16 @@ class ParallelRunner:
         )
         dt = time.perf_counter() - t0
         self.stats.executed_serial += 1
-        self.stats.job_times.append((key.describe(), dt))
+        self.stats.job_times.append((key, dt))
         self._commit(key, result)
         return result
+
+    def _run_serial(self, keys: Sequence[JobKey], out: Dict) -> None:
+        """The one in-process loop: execute ``keys`` into ``out``."""
+        for i, key in enumerate(keys):
+            out[key] = self._execute_serial(key)
+            self._progress(i + 1, len(keys), key,
+                           self.stats.job_times[-1][1], "serial")
 
     # ------------------------------------------------------------------
     def run(self, key: JobKey, scheme=None) -> SimulationResult:
@@ -344,88 +370,38 @@ class ParallelRunner:
                 out[k] = hit
             else:
                 misses.append(k)
-        if not misses:
-            return out
-        if not self.options.parallel or len(misses) == 1:
-            if (
-                self.options.batch
-                and len(misses) > 1
-                and self.trace_writer is None
-            ):
-                out.update(self._execute_serial_batch(misses))
-                return out
-            total = len(misses)
-            for i, k in enumerate(misses):
-                out[k] = self._execute_serial(k)
-                self._progress(i + 1, total, k,
-                               self.stats.job_times[-1][1], "serial")
-            return out
-        out.update(self._run_pool(misses))
+        if not self.options.parallel or len(misses) < 2:
+            self._run_serial(misses, out)
+        else:
+            self._run_pool(misses, out)
         return out
 
     # ------------------------------------------------------------------
-    def _execute_serial_batch(
-        self, misses: List[JobKey]
-    ) -> Dict[JobKey, SimulationResult]:
-        """In-process batch execution with per-unit fault fallback.
-
-        Consumes :func:`repro.runtime.batch.execute_batch` lazily; a
-        mid-batch fault keeps every already-committed result and
-        finishes the remainder per-unit (where a genuine job error
-        surfaces with its usable traceback).
-        """
+    def _submit(self, pool: ProcessPoolExecutor, chunk: List[JobKey]):
+        """Ship one chunk; a singleton rides the per-job worker."""
         from repro.runtime import batch as batch_mod
 
-        out: Dict[JobKey, SimulationResult] = {}
-        total = len(misses)
-        try:
-            for key, result, dt in batch_mod.execute_batch(
-                self.cfg, misses,
-                engine_profile=self.options.engine_profile,
-            ):
-                self.stats.executed_serial += 1
-                self.stats.job_times.append((key.describe(), dt))
-                self._commit(key, result)
-                out[key] = result
-                self._progress(len(out), total, key, dt, "batch")
-        except Exception:
-            self.stats.worker_failures += 1
-            for key in misses:
-                if key not in out:
-                    out[key] = self._execute_serial(key)
-                    self._progress(len(out), total, key,
-                                   self.stats.job_times[-1][1], "serial")
-        return out
+        profile = self.options.engine_profile
+        if len(chunk) > 1:
+            return pool.submit(
+                batch_mod._pool_batch_worker, (self.cfg, chunk, profile)
+            )
+        return pool.submit(_pool_worker, (self.cfg, chunk[0], profile))
 
-    # ------------------------------------------------------------------
-    def _run_pool(self, misses: List[JobKey]) -> Dict[JobKey, SimulationResult]:
-        opts = self.options
-        workers = min(opts.effective_jobs, len(misses))
-        if opts.batch and len(misses) > workers:
-            # More jobs than workers: ship whole chunks so each worker
-            # amortizes trace generation and warm caches across its
-            # share.  With jobs <= workers there is nothing to amortize
-            # (and the per-unit path keeps its exact fault semantics).
-            return self._run_pool_batched(misses, workers)
-        return self._run_pool_per_unit(misses)
+    def _run_pool(self, misses: List[JobKey], out: Dict) -> None:
+        """Execute ``misses`` over a process pool into ``out``.
 
-    def _run_pool_batched(
-        self, misses: List[JobKey], workers: int
-    ) -> Dict[JobKey, SimulationResult]:
-        """One chunk per worker via the batch executor.
-
-        Jobs sharing a trace signature are grouped into the same chunk
-        (that is where the amortization lives).  Any batch-level fault
-        — a crashed worker, a chunk timeout, an in-worker exception —
-        degrades the affected jobs to the per-unit pool path, whose
-        retry/fallback ladder guarantees the batch still completes with
-        results identical to clean serial execution.
+        Jobs sharing a trace signature ship together, one chunk per
+        worker.  The fault ladder: a multi-job chunk that crashes,
+        times out or raises is retried as singleton chunks; a singleton
+        that times out or raises reruns in-process (where a genuine job
+        error surfaces with its traceback); a broken pool is rebuilt up
+        to ``retries`` times, after which whatever is left runs
+        in-process.  Every step down records its cause.
         """
         from repro.runtime import batch as batch_mod
 
         opts = self.options
-        out: Dict[JobKey, SimulationResult] = {}
-        total = len(misses)
         done = 0
         groups: Dict[tuple, List[JobKey]] = {}
         for k in misses:
@@ -433,135 +409,69 @@ class ParallelRunner:
                 batch_mod.trace_signature(self.cfg, k), []
             ).append(k)
         ordered = [k for g in groups.values() for k in g]
-        size = -(-len(ordered) // workers)
-        chunks = [
-            ordered[i:i + size] for i in range(0, len(ordered), size)
-        ]
-        recover: List[JobKey] = []
-        try:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                futures = [
-                    (chunk, pool.submit(
-                        batch_mod._pool_batch_worker,
-                        (self.cfg, chunk, opts.engine_profile),
-                    ))
-                    for chunk in chunks
-                ]
-                for chunk, fut in futures:
-                    timeout = (
-                        opts.timeout * len(chunk)
-                        if opts.timeout is not None else None
-                    )
-                    try:
-                        items = fut.result(timeout=timeout)
-                    except BrokenProcessPool:
-                        raise
-                    except FutureTimeoutError:
-                        self.stats.timeouts += 1
-                        fut.cancel()
-                        recover.extend(chunk)
-                        continue
-                    except Exception:
-                        self.stats.worker_failures += 1
-                        recover.extend(chunk)
-                        continue
-                    for key, result, dt in items:
-                        done += 1
-                        self.stats.executed_pool += 1
-                        self.stats.job_times.append((key.describe(), dt))
-                        self._commit(key, result)
-                        out[key] = result
-                        self._progress(done, total, key, dt, "pool")
-        except (BrokenProcessPool, OSError):
-            self.stats.retries += 1
-            recover = [k for k in misses if k not in out]
-        remaining = [k for k in recover if k not in out]
-        if remaining:
-            out.update(self._run_pool_per_unit(remaining))
-        return out
-
-    def _run_pool_per_unit(
-        self, misses: List[JobKey]
-    ) -> Dict[JobKey, SimulationResult]:
-        opts = self.options
-        out: Dict[JobKey, SimulationResult] = {}
-        pending = list(misses)
-        total = len(misses)
-        done = 0
-        attempts = 0
-        while pending and attempts <= opts.retries:
-            attempts += 1
-            pending = [k for k in pending if k not in out]
-            if not pending:
-                break
-            fallback: List[JobKey] = []
+        size = -(-len(ordered) // opts.effective_jobs)
+        chunks = [ordered[i:i + size] for i in range(0, len(ordered), size)]
+        in_process: List[JobKey] = []
+        rebuilds = 0
+        while chunks:
+            singles: List[List[JobKey]] = []
             try:
-                workers = min(opts.effective_jobs, len(pending))
+                workers = min(opts.effective_jobs, len(chunks))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        (key, pool.submit(
-                            _pool_worker,
-                            (self.cfg, key, opts.engine_profile),
-                        ))
-                        for key in pending
-                    ]
-                    remaining = {key for key, _ in futures}
-                    for key, fut in futures:
+                    futures = [(c, self._submit(pool, c)) for c in chunks]
+                    for chunk, fut in futures:
+                        timeout = (
+                            None if opts.timeout is None
+                            else opts.timeout * len(chunk)
+                        )
                         try:
-                            result, dt = fut.result(timeout=opts.timeout)
+                            items = fut.result(timeout=timeout)
                         except BrokenProcessPool:
                             raise
-                        except FutureTimeoutError:
-                            self.stats.timeouts += 1
-                            fut.cancel()
-                            fallback.append(key)
-                            remaining.discard(key)
+                        except Exception as exc:
+                            if isinstance(exc, FutureTimeoutError):
+                                self.stats.timeouts += 1
+                                fut.cancel()
+                                exc = FutureTimeoutError(
+                                    f"no result within {timeout:g}s"
+                                )
+                            else:
+                                self.stats.worker_failures += 1
+                            self.stats.record_fallback(exc)
+                            if len(chunk) > 1:
+                                singles.extend([k] for k in chunk)
+                            else:
+                                in_process.extend(chunk)
                             continue
-                        except Exception:
-                            # The job itself raised in the worker: retry
-                            # it in-process (where the error, if real,
-                            # surfaces with a usable traceback).
-                            self.stats.worker_failures += 1
-                            fallback.append(key)
-                            remaining.discard(key)
-                            continue
-                        remaining.discard(key)
-                        done += 1
-                        self.stats.executed_pool += 1
-                        self.stats.job_times.append((key.describe(), dt))
-                        self._commit(key, result)
-                        out[key] = result
-                        self._progress(done, total, key, dt, "pool")
-                pending = []
-            except (BrokenProcessPool, OSError):
+                        if len(chunk) == 1:
+                            items = [(chunk[0], *items)]
+                        for key, result, dt in items:
+                            done += 1
+                            self.stats.executed_pool += 1
+                            self.stats.job_times.append((key, dt))
+                            self._commit(key, result)
+                            out[key] = result
+                            self._progress(done, len(misses), key, dt,
+                                           "pool")
+                chunks = singles
+            except (BrokenProcessPool, OSError) as exc:
                 # A worker died (or the pool could not be [re]built):
-                # retry everything not yet finished on a fresh pool,
-                # after a short pause — a host-level cause (OOM killer,
-                # fork pressure) needs a beat to clear before the
-                # rebuilt pool has a chance.
+                # retry everything unfinished as singletons on a fresh
+                # pool, after a short pause — a host-level cause (OOM
+                # killer, fork pressure) needs a beat to clear.
                 self.stats.retries += 1
-                pending = [k for k in pending if k not in out]
-                if attempts > opts.retries:
-                    fallback.extend(k for k in pending if k not in fallback)
-                    pending = []
-                elif pending:
+                self.stats.record_fallback(exc)
+                rebuilds += 1
+                left = [
+                    k for chunk in chunks for k in chunk
+                    if k not in out and k not in in_process
+                ]
+                if rebuilds > opts.retries:
+                    in_process.extend(left)
+                    chunks = []
+                else:
+                    chunks = [[k] for k in left]
                     time.sleep(backoff_delay(
-                        attempts, base=POOL_RETRY_BASE, cap=POOL_RETRY_CAP
+                        rebuilds, base=POOL_RETRY_BASE, cap=POOL_RETRY_CAP
                     ))
-                continue
-            finally:
-                for key in fallback:
-                    if key in out:
-                        continue
-                    out[key] = self._execute_serial(key)
-                    done += 1
-                    self._progress(done, total, key,
-                                   self.stats.job_times[-1][1], "serial")
-        # Exhausted retries with jobs still pending: finish serially.
-        for key in pending:
-            if key not in out:
-                out[key] = self._execute_serial(key)
-                done += 1
-                self._progress(done, total, key,
-                               self.stats.job_times[-1][1], "serial")
-        return out
+        self._run_serial(in_process, out)

@@ -12,6 +12,7 @@ internal drivers (the facade never forks
 
 import importlib
 import inspect
+import warnings
 
 import pytest
 
@@ -216,10 +217,9 @@ class TestBench:
         assert set(gated["gate"]) == {"ok", "messages"}
 
     def test_rejects_unknown_knobs_like_every_verb(self):
-        with pytest.raises(ValueError, match="backend"):
-            api.bench(smoke=True, backend="quantum")
-        with pytest.raises(ValueError, match="engine profile"):
-            api.bench(smoke=True, profile="turbo")
+        with pytest.warns(DeprecationWarning, match="backend"), \
+                pytest.raises(ValueError, match="engine profile"):
+            api.bench(smoke=True, backend="quantum", profile="turbo")
 
 
 class TestUniformKeywords:
@@ -241,23 +241,43 @@ class TestUniformKeywords:
             )
 
     def test_backend_validation_uniform(self):
-        for verb in ("simulate", "characterize"):
-            with pytest.raises(ValueError, match="backend"):
+        """``backend=`` is a deprecated no-op: every verb accepts any
+        value and emits exactly one DeprecationWarning per call."""
+        calls = [
+            ("simulate", {}),
+            ("characterize", {}),
+            ("characterize", {"schemes": ["oracle", "algorithm-1"]}),
+        ]
+        for verb, extra in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 getattr(api, verb)(
-                    "fft", scale=SCALE, cache=False, backend="quantum"
+                    "fft", scale=SCALE, cache=False, backend="quantum",
+                    **extra,
                 )
+            deprecations = [
+                w for w in caught
+                if issubclass(w.category, DeprecationWarning)
+            ]
+            assert len(deprecations) == 1, (verb, extra)
+            assert "backend" in str(deprecations[0].message)
+            assert deprecations[0].filename == __file__
 
     def test_backend_per_unit_equals_batch(self, tmp_path):
-        """The executor backend is a perf knob: same results, shared
-        cache entries."""
-        a = api.simulate(
-            "fft", "oracle", scale=SCALE, cache=False, backend="batch"
+        """``backend=`` values are ignored: same results as a call
+        without ``backend=``."""
+        with pytest.warns(DeprecationWarning, match="backend"):
+            a = api.simulate(
+                "fft", "oracle", scale=SCALE, cache=False, backend="batch"
+            )
+        with pytest.warns(DeprecationWarning, match="backend"):
+            b = api.simulate(
+                "fft", "oracle", scale=SCALE, cache=False,
+                backend="per-unit",
+            )
+        assert a == b == api.simulate(
+            "fft", "oracle", scale=SCALE, cache=False
         )
-        b = api.simulate(
-            "fft", "oracle", scale=SCALE, cache=False,
-            backend="per-unit",
-        )
-        assert a == b
 
 
 class TestSurface:

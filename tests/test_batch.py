@@ -1,33 +1,24 @@
-"""The batch-of-simulations executor (:mod:`repro.runtime.batch`).
+"""The chunk executor (:mod:`repro.runtime.batch`).
 
-The batch path is a *perf* backend: it must be observationally
-identical to per-unit execution.  Three contracts are pinned here:
+The pool ships multi-job chunks through it, and ``repro bench``'s
+lineup tier times it; it must be observationally identical to per-job
+execution.  Two contracts are pinned here:
 
 1. **result identity** — ``execute_batch`` over a lineup chunk yields
    exactly what per-unit ``execute_job`` computes for each key;
 2. **amortization is real** — jobs sharing a trace signature share the
-   trace *object* (what makes the vectorized pre-pass cache hit);
-3. **fault fallback** — a mid-batch fault inside
-   :meth:`ParallelRunner._execute_serial_batch` keeps every
-   already-committed result and finishes the remainder per-unit, with
-   results identical to a clean serial run;
-4. **campaign byte-identity** — a sweep executed with the batch
-   backend writes ``summary.json`` / ``report.txt`` byte-identical to
-   the per-unit backend's.
-"""
+   trace *object* (what makes the vectorized pre-pass cache hit).
 
-import json
+Fault fallback lives in the runtime's one ladder
+(``tests/test_runtime_faults.py``), and byte-identity across campaign
+drains in ``tests/test_campaign_remote.py::TestDrainIdentity``.
+"""
 
 import pytest
 
 from repro import schemes as S
 from repro.config import DEFAULT_CONFIG
-from repro.runtime import (
-    JobKey,
-    ParallelRunner,
-    RuntimeOptions,
-    config_digest,
-)
+from repro.runtime import JobKey, config_digest
 from repro.runtime import batch as batch_mod
 from repro.runtime.parallel import execute_job
 
@@ -91,116 +82,9 @@ class TestExecuteBatch:
         )
 
     def test_lazy_yielding(self):
-        """The generator does no work before iteration (the serial
-        consumer relies on this for incremental commit)."""
+        """The generator does no work before iteration."""
         it = batch_mod.execute_batch(DEFAULT_CONFIG, lineup_keys())
         assert len(batch_mod._trace_lru) == 0
         next(it)
         assert len(batch_mod._trace_lru) == 1
         it.close()
-
-
-class TestSerialBatchFallback:
-    def _serial_ground_truth(self, keys):
-        runner = ParallelRunner(
-            DEFAULT_CONFIG, RuntimeOptions(jobs=1, batch=False)
-        )
-        return runner.run_many(keys)
-
-    def test_batch_runner_matches_per_unit_runner(self):
-        keys = lineup_keys()
-        truth = self._serial_ground_truth(keys)
-        runner = ParallelRunner(
-            DEFAULT_CONFIG, RuntimeOptions(jobs=1, batch=True)
-        )
-        out = runner.run_many(keys)
-        assert out == truth
-        assert runner.stats.worker_failures == 0
-
-    def test_mid_batch_fault_falls_back_per_unit(self, monkeypatch):
-        """A crash after N yields keeps the committed prefix and
-        finishes the remainder per-unit — identical to clean serial."""
-        keys = lineup_keys()
-        truth = self._serial_ground_truth(keys)
-        real_execute_batch = batch_mod.execute_batch
-        crash_after = 2
-
-        def faulty_execute_batch(cfg, batch_keys, **kwargs):
-            for i, item in enumerate(
-                real_execute_batch(cfg, batch_keys, **kwargs)
-            ):
-                if i == crash_after:
-                    raise RuntimeError("injected mid-batch fault")
-                yield item
-
-        monkeypatch.setattr(
-            batch_mod, "execute_batch", faulty_execute_batch
-        )
-        runner = ParallelRunner(
-            DEFAULT_CONFIG, RuntimeOptions(jobs=1, batch=True)
-        )
-        out = runner.run_many(keys)
-
-        assert runner.stats.worker_failures == 1
-        assert set(out) == set(keys), "no job may be lost to the fault"
-        for key in keys:
-            assert out[key] == truth[key], (
-                f"post-fault result differs from clean serial for "
-                f"{key.label}"
-            )
-        # Every job still executed exactly once (prefix in-batch, the
-        # rest per-unit) — the fault costs time, never work or truth.
-        assert runner.stats.executed == len(keys)
-
-    def test_immediate_fault_degrades_whole_batch(self, monkeypatch):
-        keys = lineup_keys()
-        truth = self._serial_ground_truth(keys)
-
-        def broken_execute_batch(cfg, batch_keys, **kwargs):
-            raise RuntimeError("injected batch-setup fault")
-            yield  # pragma: no cover - marks this a generator
-
-        monkeypatch.setattr(
-            batch_mod, "execute_batch", broken_execute_batch
-        )
-        runner = ParallelRunner(
-            DEFAULT_CONFIG, RuntimeOptions(jobs=1, batch=True)
-        )
-        out = runner.run_many(keys)
-        assert out == truth
-        assert runner.stats.worker_failures == 1
-        assert runner.stats.executed_serial == len(keys)
-
-
-class TestCampaignByteIdentity:
-    def _sweep(self, tmp_path, name, backend):
-        from repro import api
-
-        res = api.sweep(
-            {
-                "name": name,
-                "benchmarks": ["fft", "swim"],
-                "schemes": ["oracle", "algorithm-1"],
-                "scales": [SCALE],
-            },
-            root=tmp_path / backend,
-            backend=backend,
-            options=RuntimeOptions(
-                jobs=1, cache_dir=str(tmp_path / backend / "cache")
-            ),
-        )
-        assert res.ok
-        return tmp_path / backend / name
-
-    def test_summary_and_report_bytes_identical(self, tmp_path):
-        """The executor backend never shows up in campaign artifacts."""
-        a = self._sweep(tmp_path, "byte-id", "batch")
-        b = self._sweep(tmp_path, "byte-id", "per-unit")
-        for artifact in ("summary.json", "report.txt"):
-            assert (a / artifact).read_bytes() == \
-                (b / artifact).read_bytes(), (
-                    f"{artifact} differs between batch and per-unit "
-                    f"backends"
-                )
-        summary = json.loads((a / "summary.json").read_text())
-        assert summary["units"], "the campaign actually ran units"

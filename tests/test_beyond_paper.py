@@ -209,11 +209,12 @@ class TestNmpoProfileDeterminism:
         assert first.digest() == again.digest()
 
     def test_nmpo_result_identical_across_backends(self):
-        results = [
-            api.simulate("fft", "nmpo", scale=0.08, backend=backend,
-                         cache=False)
-            for backend in ("batch", "per-unit")
-        ]
+        with pytest.warns(DeprecationWarning, match="backend"):
+            results = [
+                api.simulate("fft", "nmpo", scale=0.08, backend=backend,
+                             cache=False)
+                for backend in ("batch", "per-unit")
+            ]
         assert results[0] == results[1]
 
 

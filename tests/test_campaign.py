@@ -323,12 +323,36 @@ class TestCampaignRunner:
         assert res.ok, "the unit must recover within max_attempts"
         # Two failed rounds -> two capped-exponential backoff sleeps.
         assert sleeps == [0.25, 0.5]
+        # Every chunk fell back to per-unit reruns, and said why.
+        assert res.stats.fallbacks
+        assert set(res.stats.fallbacks) == {
+            "RuntimeError: injected chunk failure"
+        }
+        assert "injected chunk failure" in res.stats.render()
         swim = [
             u for u in spec.expand()
             if u.bench == "swim" and u.label != BASELINE_LABEL
         ][0]
         st = res.state.unit(swim.unit_id)
         assert st.done and st.attempts == 3
+
+    def test_journaled_wall_is_the_units_own_timing(self):
+        """Units whose ``JobKey.describe()`` strings coincide (they omit
+        the scale) must each journal the runtime's timing of their own
+        key, never their twin's."""
+        spec = SweepSpec(
+            benchmarks=("fft", "swim"), schemes=("oracle",),
+            scales=(SCALE, 0.1),
+        )
+        res = CampaignRunner(spec).run()
+        assert res.ok
+        timed = dict(res.stats.job_times)
+        units = spec.expand()
+        assert len(units) == len(timed) == 8
+        for unit in units:
+            own = timed[unit.job_key(DEFAULT_CONFIG)]
+            assert res.state.unit(unit.unit_id).wall == round(own, 6), \
+                unit.describe()
 
     def test_backoff_is_capped(self):
         runner = CampaignRunner(backoff_base=0.5, backoff_cap=2.0)

@@ -509,15 +509,6 @@ class TestWireProtocol:
         assert q.heartbeat(["u1"], lease=60) == 0  # no raise
         server.close()
 
-    def test_remote_backend_refuses_journal_callbacks(self, tmp_path):
-        server = self._server(tmp_path)
-        q = _client(server)
-        with pytest.raises(QueueError, match="journals on the server"):
-            q.complete("u1", "d1", journal=lambda: None)
-        with pytest.raises(QueueError, match="journals on the server"):
-            q.fail("u1", "boom", max_attempts=3, journal=lambda: None)
-        server.close()
-
 
 # ======================================================================
 # exactly-once under arbitrary fault schedules (hypothesis)
@@ -735,12 +726,81 @@ class TestRemoteDrain:
 
 
 # ======================================================================
+# one drain loop: in-memory, on-disk and remote campaigns agree
+# ======================================================================
+
+class TestDrainIdentity:
+    def test_three_drains_byte_identical(self, tmp_path):
+        """The same spec drained in memory, through an on-disk claim
+        queue and by a remote worker over :class:`LocalTransport` —
+        each simulating into its own (or no) cache — renders identical
+        ``summary.json``/``report.txt`` bytes and journals identical
+        ``unit`` events once ``wall`` and ``session`` are dropped."""
+        spec = SweepSpec(
+            name="drains", benchmarks=("fft", "swim"),
+            schemes=("oracle", "algorithm-1"), scales=(SCALE, 0.1),
+        )
+
+        def unit_events(lines):
+            return [
+                {k: v for k, v in e.items() if k not in ("wall", "session")}
+                for e in lines if e.get("event") == "unit"
+            ]
+
+        def read(cdir):
+            return (
+                (cdir / "summary.json").read_bytes(),
+                (cdir / "report.txt").read_bytes(),
+                unit_events(
+                    json.loads(line) for line in
+                    (cdir / "manifest.jsonl").read_text().splitlines()
+                ),
+            )
+
+        memory = CampaignRunner(spec, options=RuntimeOptions())
+        res = memory.run()
+        drains = {"memory": (
+            (json.dumps(res.summary, indent=2, sort_keys=True)
+             + "\n").encode(),
+            (res.report + "\n").encode(),
+            unit_events(memory.manifest._lines),
+        )}
+
+        CampaignRunner(
+            spec, root=tmp_path / "disk",
+            options=RuntimeOptions(cache_dir=str(tmp_path / "disk-cache")),
+        ).run()
+        drains["disk"] = read(tmp_path / "disk" / spec.campaign_id)
+
+        _make_campaign(tmp_path / "remote", spec)
+        server = ClaimServer(
+            tmp_path / "remote", spec.campaign_id,
+            options=RuntimeOptions(cache_dir=str(tmp_path / "srv-cache")),
+        )
+        try:
+            CampaignRunner(None, options=RuntimeOptions()).attach_remote(
+                _client(server), poll=0.0,
+            )
+            assert server.finalize()
+        finally:
+            server.close()
+        drains["remote"] = read(server.dir)
+
+        assert len(drains["memory"][2]) == len(spec.expand()) == 12
+        for name in ("disk", "remote"):
+            for part, a, b in zip(("summary", "report", "manifest"),
+                                  drains["memory"], drains[name]):
+                assert a == b, f"{part} differs: memory vs {name}"
+
+
+# ======================================================================
 # two real hosts over localhost HTTP, one SIGKILLed (slow)
 # ======================================================================
 
 #: A remote worker process: separate cache dir (its own "host"), naps
-#: between shipping a result and completing it so a SIGKILL lands in
-#: the at-least-once window, short lease so the survivor reclaims fast.
+#: between shipping a result and completing it (inside ``complete``) so
+#: a SIGKILL lands in the at-least-once window, short lease so the
+#: survivor reclaims fast.
 REMOTE_WORKER_SCRIPT = """
 import sys, time
 from repro.campaign import remote as R
@@ -749,11 +809,12 @@ from repro.runtime import RuntimeOptions
 
 nap = float(sys.argv[3])
 if nap:
-    _orig = R.RemoteClaimQueue.complete
+    _orig = R.RemoteClaimQueue.ship_result
     def _slow(self, *a, **k):
+        shipped = _orig(self, *a, **k)
         time.sleep(nap)
-        return _orig(self, *a, **k)
-    R.RemoteClaimQueue.complete = _slow
+        return shipped
+    R.RemoteClaimQueue.ship_result = _slow
 
 CampaignRunner(
     None, chunk_size=1,

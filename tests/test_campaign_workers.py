@@ -85,9 +85,11 @@ def _opts(tmp_path, **kw) -> RuntimeOptions:
 class TestClaimQueue:
     UNITS = ["u1", "u2", "u3"]
 
-    def _queue(self, tmp_path, clock, worker_id="w1") -> ClaimQueue:
+    def _queue(self, tmp_path, clock, worker_id="w1",
+               manifest=None) -> ClaimQueue:
         return ClaimQueue(
-            tmp_path / CLAIMS_NAME, worker_id=worker_id, clock=clock
+            tmp_path / CLAIMS_NAME, manifest=manifest,
+            worker_id=worker_id, clock=clock,
         )
 
     def test_populate_is_idempotent_and_ordered(self, tmp_path):
@@ -154,18 +156,20 @@ class TestClaimQueue:
 
     def test_complete_is_exactly_once(self, tmp_path):
         clock = FakeClock()
-        q1 = self._queue(tmp_path, clock, "w1")
-        q2 = self._queue(tmp_path, clock, "w2")
+        journal = Manifest(None)
+        q1 = self._queue(tmp_path, clock, "w1", manifest=journal)
+        q2 = self._queue(tmp_path, clock, "w2", manifest=journal)
         q1.populate(["u1"])
         q1.claim(1, lease=10)
         clock.advance(11)
         q2.claim(1, lease=60)
-        journal: list = []
-        assert q2.complete("u1", "d2", journal=lambda: journal.append("w2"))
+        assert q2.complete("u1", "d2", attempt=2, session=2)
         # w1 lost its lease mid-run: its complete must refuse AND must
-        # not call the journal callback — the exactly-once guarantee.
-        assert not q1.complete("u1", "d1", journal=lambda: journal.append("w1"))
-        assert journal == ["w2"]
+        # not journal — the exactly-once guarantee.
+        assert not q1.complete("u1", "d1", attempt=1, session=1)
+        st = journal.state().unit("u1")
+        assert st.done and st.attempts == 1
+        assert (st.digest, st.session) == ("d2", 2)
         assert q1.counts().done == 1
         assert q1.rows()[0]["digest"] == "d2"
 
@@ -189,13 +193,13 @@ class TestClaimQueue:
 
     def test_fail_journal_commits_with_the_row(self, tmp_path):
         clock = FakeClock()
-        q = self._queue(tmp_path, clock)
+        journal = Manifest(None)
+        q = self._queue(tmp_path, clock, manifest=journal)
         q.populate(["u1"])
         q.claim(1, lease=60)
-        journal: list = []
-        q.fail("u1", "boom", max_attempts=3,
-               journal=lambda: journal.append("failed"))
-        assert journal == ["failed"]
+        q.fail("u1", "boom", max_attempts=3, attempt=1, session=1)
+        st = journal.state().unit("u1")
+        assert (st.status, st.error, st.attempts) == ("failed", "boom", 1)
 
     def test_reconcile_journal_ahead_of_table(self, tmp_path):
         """Crash window: journal says done, claim row stuck claimed."""
@@ -664,7 +668,10 @@ class TestWorkerProcesses:
         name = spec.campaign_id
         cdir = root / name
 
-        hung = ClaimQueue(cdir / CLAIMS_NAME, worker_id="hung-worker")
+        hung = ClaimQueue(
+            cdir / CLAIMS_NAME, worker_id="hung-worker",
+            manifest=Manifest(cdir / "manifest.jsonl"),
+        )
         hung.populate(spec.unit_ids(), spec_digest=spec.spec_digest())
         claimed = hung.claim(1, lease=1.0)
         assert len(claimed) == 1
@@ -678,11 +685,8 @@ class TestWorkerProcesses:
         assert stuck in out.results, \
             "the healthy worker must reclaim the stale lease"
 
-        journal: list = []
-        assert not hung.complete(
-            stuck, "stale", journal=lambda: journal.append("hung")
-        )
-        assert journal == [], \
+        assert not hung.complete(stuck, "stale")
+        assert _done_rows(cdir / "manifest.jsonl")[stuck] == 1, \
             "a reclaimed worker must never journal its unit"
         hung.close()
 

@@ -1,7 +1,8 @@
-"""Fault-path coverage for the parallel runtime (ISSUE 5 satellite).
+"""Fault-path coverage for the parallel runtime.
 
-Injectable crashing/hanging pool workers exercise the three degradation
-layers of :meth:`ParallelRunner._run_pool`:
+Injectable crashing/hanging pool workers exercise the degradation
+layers of :meth:`ParallelRunner._run_pool`, the runtime's one fault
+ladder:
 
 1. **pool retry** — a worker that dies mid-batch (``os._exit``) breaks
    the pool (``BrokenProcessPool``); the runner rebuilds a fresh pool
@@ -12,14 +13,15 @@ layers of :meth:`ParallelRunner._run_pool`:
 3. **per-job timeout fallback** — a hanging worker trips the per-job
    timeout (``stats.timeouts``) and the job reruns serially.
 
-The batched pool path (one chunk per worker via
-``repro.runtime.batch._pool_batch_worker``) adds a layer above these:
-a chunk-level fault (worker crash, in-chunk exception) degrades the
-affected jobs to the per-unit pool ladder, which then provides the
-same guarantees (``TestBatchedPoolFaults``).
+With more jobs than workers the ladder ships multi-job chunks (via
+``repro.runtime.batch._pool_batch_worker``); a chunk-level fault
+(worker crash, in-chunk exception) retries the chunk's jobs as
+singleton chunks (``repro.runtime.parallel._pool_worker``), which then
+get the same guarantees (``TestBatchedPoolFaults``).
 
 In every scenario the batch must complete with results **identical to a
-clean serial run** — degradation may cost time, never correctness.
+clean serial run** — degradation may cost time, never correctness — and
+every fallback must leave its cause in ``stats.fallbacks``.
 
 The injection works by monkeypatching ``repro.runtime.parallel.
 _pool_worker`` before the pool forks (fork start method copies the
@@ -100,6 +102,12 @@ def _raising_batch_worker(payload):
     raise RuntimeError("injected batch-chunk failure")
 
 
+def _raising_worker(payload):
+    # Module level, so it pickles into the pool: a local function would
+    # fail to pickle and never run in a worker at all.
+    raise RuntimeError("injected failure")
+
+
 def job_matrix():
     return [
         JobKey(bench=bench, scale=SCALE, config_digest=CFG_DIGEST)
@@ -150,6 +158,10 @@ class TestPoolRetry:
 
         assert runner.stats.retries >= 1, \
             "a mid-batch worker death must trigger a pool retry"
+        assert any(
+            f.startswith("BrokenProcessPool: ")
+            for f in runner.stats.fallbacks
+        ), runner.stats.fallbacks
         assert set(out) == set(keys), "no job may be lost to the crash"
         for key in keys:
             assert out[key] == serial_results[key], \
@@ -171,6 +183,7 @@ class TestPoolRetry:
 
         # Every attempt broke the pool: initial + one retry.
         assert runner.stats.retries == 2
+        assert len(runner.stats.fallbacks) == 2
         assert runner.stats.executed_pool == 0
         assert runner.stats.executed_serial == len(keys)
         assert set(out) == set(keys)
@@ -192,6 +205,9 @@ class TestTimeoutFallback:
 
         assert runner.stats.timeouts >= 1, \
             "a hanging worker must trip the per-job timeout"
+        assert runner.stats.fallbacks.count(
+            "TimeoutError: no result within 0.2s"
+        ) == runner.stats.timeouts
         assert runner.stats.executed_serial >= runner.stats.timeouts
         assert set(out) == set(keys)
         for key in keys:
@@ -209,9 +225,7 @@ def batch_matrix():
 
 @pytest.fixture(scope="module")
 def batch_serial_results():
-    runner = ParallelRunner(
-        DEFAULT_CONFIG, RuntimeOptions(jobs=1, batch=False)
-    )
+    runner = ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=1))
     return runner.run_many(batch_matrix())
 
 
@@ -234,8 +248,8 @@ def patched_batch_worker(monkeypatch, tmp_path):
 
 
 class TestBatchedPoolFaults:
-    """Faults in the one-chunk-per-worker batch path degrade to the
-    per-unit pool ladder — results stay identical to clean serial."""
+    """Faults in a multi-job chunk degrade its jobs to singleton
+    chunks — results stay identical to clean serial."""
 
     @needs_fork
     def test_chunk_worker_crash_recovers_per_unit(
@@ -264,6 +278,9 @@ class TestBatchedPoolFaults:
 
         assert runner.stats.worker_failures >= 1, \
             "an in-chunk exception must be counted per failed chunk"
+        assert runner.stats.fallbacks == [
+            "RuntimeError: injected batch-chunk failure"
+        ] * runner.stats.worker_failures
         assert runner.stats.retries == 0, \
             "an in-chunk exception must not be treated as a pool crash"
         # The per-unit pool path (unpatched workers) did the real work.
@@ -278,15 +295,16 @@ class TestWorkerExceptionCounters:
     def test_worker_exception_counted_and_isolated(
         self, patched_worker, serial_results, monkeypatch
     ):
-        def _raising_worker(payload):
-            raise RuntimeError("injected failure")
-
         patched_worker(_raising_worker)
         runner = ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=2))
         keys = job_matrix()
         out = runner.run_many(keys)
 
         assert runner.stats.worker_failures == len(keys)
+        assert runner.stats.fallbacks == [
+            "RuntimeError: injected failure"
+        ] * len(keys)
+        assert "2x RuntimeError: injected failure" in runner.stats.render()
         assert runner.stats.retries == 0, \
             "an in-worker exception must not be treated as a pool crash"
         assert runner.stats.executed_serial == len(keys)
