@@ -95,7 +95,7 @@ def main() -> None:
     #        api.characterize("spmv.csr")            # bottleneck class
     #        api.bench(smoke=True)                   # simulator perf
     #    Every verb takes the same perf knob (never affects results):
-    #        profile="vectorized" | "optimized" | "reference"
+    #        profile="optimized" | "reference"
     #    (backend= is still accepted, but deprecated and ignored.)
     from repro import api
 

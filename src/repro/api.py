@@ -26,10 +26,10 @@ served out their window) — import from
 Every verb accepts the same runtime-control keywords: ``options`` (a
 :class:`~repro.runtime.RuntimeOptions`) for full control — jobs,
 cache, timeouts, engine profile — with the per-call conveniences
-``profile=`` (an engine profile: ``"optimized"``, ``"reference"``,
-``"vectorized"``) and ``cache=`` layered on top.  Profiles are
-*performance knobs only*: results are pinned identical across all of
-them, and none ever forks the runtime's
+``profile=`` (an engine profile: ``"optimized"``, the default, or
+``"reference"``) and ``cache=`` layered on top.  Profiles are
+*performance knobs only*: results are pinned identical across both,
+and neither ever forks the runtime's
 :class:`~repro.runtime.keys.JobKey` cache keys — a result computed
 through the facade is a warm cache hit for the CLI, a campaign, or the
 tuner, and vice versa.

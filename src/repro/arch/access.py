@@ -15,6 +15,10 @@ Every step exists in two flavours selected by ``commit``:
   through the engine's reserve phase (``earliest_free``) without
   claiming anything — the scheme layer uses it to cost the conventional
   alternative of every offload decision.
+
+:class:`AccessPath` is the ``reference`` engine's walk;
+:class:`FusedAccessPath` is the default ``optimized`` engine's, over
+the machine's memoized address facts.
 """
 
 from __future__ import annotations
@@ -218,3 +222,232 @@ class AccessPath:
             # Result store retires through the write buffer (non-blocking).
             self.store(core, op.dest, completion)
         return completion
+
+
+class FusedAccessPath(AccessPath):
+    """The access path of the ``optimized`` engine.
+
+    Byte-identical walk to :class:`AccessPath` — same hierarchy steps,
+    same statistics, same cache mutations — with the per-access address
+    arithmetic replaced by one memoized lookup and the Journey/stamp
+    construction skipped when no window profiler will ever read it.
+    """
+
+    def access(
+        self,
+        core: int,
+        addr: int,
+        now: int,
+        commit: bool,
+        allocate_l1: bool = True,
+        pc: int = -1,
+    ) -> AccessPlan:
+        m = self.m
+        cfg = m.cfg
+        l1 = m.l1[core]
+        info = m.addr_info.get(addr)
+        if info is None:
+            info = m.addr_fact(addr)
+        home = info[0]
+        if commit:
+            l1_hit = l1.access(addr, allocate=allocate_l1).hit
+        else:
+            l1_hit = l1.probe(addr)
+        stats = m.stats
+        if l1_hit:
+            if commit:
+                stats.l1_hits += 1
+                if pc >= 0:
+                    m.record_pc(pc, l1_hit=True)
+            return AccessPlan(now + cfg.l1.access_latency, True, False, home)
+
+        keep = commit and m.keep_journeys
+        journey = Journey(t_issue=now) if keep else None
+        if commit:
+            stats.l1_misses += 1
+        t = now + cfg.l1.access_latency
+        if keep:
+            t_req, req_links = m.travel(
+                core, home, t, REQ_BYTES, commit, stamps=True
+            )
+        else:
+            t_req = m.travel_time(core, home, t, REQ_BYTES, commit)
+            req_links = ()
+        t_req = m.l2_port_start(home, t_req, commit)
+
+        l2_line = info[1]
+        dirty = m.dirty.get(l2_line)
+        if dirty is not None and dirty[0] != core and dirty[1] > t_req:
+            owner = dirty[0]
+            t_fwd = m.travel_time(
+                home, owner, t_req + cfg.l2.access_latency, REQ_BYTES, commit
+            )
+            t_done = m.travel_time(
+                owner, core, t_fwd + cfg.l1.access_latency,
+                cfg.l1.line_bytes, commit,
+            )
+            if commit:
+                stats.l2_misses += 1
+                if pc >= 0:
+                    m.record_pc(pc, l1_hit=False, l2_hit=False)
+                if allocate_l1:
+                    l1.fill(addr)
+                if journey is not None:
+                    journey.l2 = (home, t_req)
+                    journey.links = req_links
+                    m.journeys[addr // cfg.l1.line_bytes] = journey
+            return AccessPlan(t_done, False, False, home, journey)
+
+        l2bank = m.l2[home]
+        pending = m.pending_l2_fill.get(l2_line, 0)
+        if commit and 0 < pending <= t_req:
+            l2bank.fill(addr)
+            del m.pending_l2_fill[l2_line]
+            m.dirty.pop(l2_line, None)
+            pending = 0
+        if commit:
+            if pending > t_req:
+                l2bank.access(addr)
+                l2_hit = True
+                t_data = max(pending, t_req + cfg.l2.access_latency)
+            else:
+                l2_hit = l2bank.access(addr).hit
+                t_data = t_req + cfg.l2.access_latency
+            if l2_hit:
+                stats.l2_hits += 1
+            else:
+                stats.l2_misses += 1
+            if pc >= 0:
+                m.record_pc(pc, l1_hit=False, l2_hit=l2_hit)
+        else:
+            l2_hit = l2bank.probe(addr) or pending > t_req
+            t_data = (
+                max(pending, t_req + cfg.l2.access_latency)
+                if pending > t_req
+                else t_req + cfg.l2.access_latency
+            )
+        if journey is not None:
+            journey.l2 = (home, t_req)
+
+        if not l2_hit:
+            mc_id = info[2]
+            mc_node = info[3]
+            if keep:
+                t_mc, mc_links = m.travel(
+                    home, mc_node, t_data, REQ_BYTES, commit, stamps=True
+                )
+            else:
+                t_mc = m.travel_time(home, mc_node, t_data, REQ_BYTES, commit)
+                mc_links = ()
+            mc = m.mcs[mc_id]
+            if commit:
+                t_mem = mc.access(addr, t_mc)
+            else:
+                t_mem = t_mc + mc.queue_delay_estimate(addr, t_mc) + \
+                    mc.service_time("miss")
+            if journey is not None:
+                journey.mc = (mc_id, t_mc)
+                journey.bank = (mc_id, info[4], t_mem)
+            if keep:
+                t_fill, fill_links = m.travel(
+                    mc_node, home, t_mem, cfg.l2.line_bytes, commit,
+                    stamps=True,
+                )
+            else:
+                t_fill = m.travel_time(
+                    mc_node, home, t_mem, cfg.l2.line_bytes, commit
+                )
+                fill_links = ()
+            if commit:
+                l2bank.fill(addr)
+                m.pending_l2_fill[l2_line] = t_fill
+            t_data = t_fill
+            extra_links = mc_links + fill_links
+        else:
+            extra_links = ()
+
+        if keep:
+            t_done, resp_links = m.travel(
+                home, core, t_data, cfg.l1.line_bytes, commit, stamps=True
+            )
+        else:
+            t_done = m.travel_time(
+                home, core, t_data, cfg.l1.line_bytes, commit
+            )
+            resp_links = ()
+        if commit and allocate_l1:
+            l1.fill(addr)
+        if journey is not None:
+            journey.links = req_links + extra_links + resp_links
+            m.journeys[addr // cfg.l1.line_bytes] = journey
+        return AccessPlan(t_done, False, l2_hit, home, journey)
+
+    # ------------------------------------------------------------------
+    def estimate(self, core: int, addr: int, now: int, l1_hit: bool) -> int:
+        """Completion cycle of :meth:`access` with ``commit=False``.
+
+        The pure-estimate walk with every commit-only branch (stats,
+        journeys, cache mutation, pc bookkeeping) compiled out and the
+        ``AccessPlan`` allocation skipped — the compute hot loop only
+        ever reads ``.completion`` of its two operand estimates.  The
+        caller supplies the L1 probe it already took.
+        """
+        m = self.m
+        cfg = m.cfg
+        l1_lat = cfg.l1.access_latency
+        if l1_hit:
+            return now + l1_lat
+        info = m.addr_info.get(addr)
+        if info is None:
+            info = m.addr_fact(addr)
+        home = info[0]
+        t_req = m.travel_time(core, home, now + l1_lat, REQ_BYTES, False)
+        t_req = m.l2_port_start(home, t_req, False)
+        l2_lat = cfg.l2.access_latency
+        l2_line = info[1]
+        dirty = m.dirty.get(l2_line)
+        if dirty is not None and dirty[0] != core and dirty[1] > t_req:
+            owner = dirty[0]
+            t_fwd = m.travel_time(home, owner, t_req + l2_lat, REQ_BYTES,
+                                  False)
+            return m.travel_time(owner, core, t_fwd + l1_lat,
+                                 cfg.l1.line_bytes, False)
+        pending = m.pending_l2_fill.get(l2_line, 0)
+        if pending > t_req:
+            t_data = max(pending, t_req + l2_lat)
+        else:
+            t_data = t_req + l2_lat
+            if not m.l2[home].probe(addr):
+                mc_node = info[3]
+                t_mc = m.travel_time(home, mc_node, t_data, REQ_BYTES, False)
+                mc = m.mcs[info[2]]
+                t_mem = t_mc + mc.queue_delay_estimate(addr, t_mc) + \
+                    mc.service_time("miss")
+                t_data = m.travel_time(mc_node, home, t_mem,
+                                       cfg.l2.line_bytes, False)
+        return m.travel_time(home, core, t_data, cfg.l1.line_bytes, False)
+
+    # ------------------------------------------------------------------
+    def store(self, core: int, addr: int, now: int) -> int:
+        m = self.m
+        cfg = m.cfg
+        l1 = m.l1[core]
+        hit = l1.probe(addr)
+        l1.fill(addr)
+        if hit:
+            m.stats.l1_hits += 1
+        else:
+            m.stats.l1_misses += 1
+        info = m.addr_info.get(addr)
+        if info is None:
+            info = m.addr_fact(addr)
+        l2_line = info[1]
+        t_wb = now + m.writeback_lag(l2_line)
+        m.dirty[l2_line] = (core, t_wb)
+        m.pending_l2_fill[l2_line] = t_wb
+        if m.keep_journeys:
+            m.journeys[addr // cfg.l1.line_bytes] = Journey(
+                t_issue=now, l2=(info[0], t_wb)
+            )
+        return now + cfg.l1.access_latency
+

@@ -381,3 +381,355 @@ class CandidateBuilder:
             wait_cap=self._wait_cap(NdcLocation.MEMORY),
         )
         return mc_cand, bank_cand
+
+
+class FusedCandidateBuilder(CandidateBuilder):
+    """Candidate construction of the ``optimized`` engine.
+
+    Same trial order, same availability arithmetic, over the machine's
+    memoized address facts; the duplicated pure queries of the base
+    builder (the same-bank pair window computed once per candidate, the
+    per-operand DRAM estimates) are computed once and shared — sound
+    because the whole construction is purely observational (nothing is
+    claimed between the queries).
+    """
+
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        # _wait_cap is pure per (config, location): precompute the three
+        # hardware wait ceilings once per simulation.
+        self._caps = {
+            loc: CandidateBuilder._wait_cap(self, loc)
+            for loc in NdcLocation
+        }
+        #: unit key -> bound ``table.hol_clearance`` (units are
+        #: per-machine singletons, so the bound method never goes stale)
+        self._hol = {}
+        cfg = machine.cfg
+        #: response-flight cost per hop — pure in (config, payload)
+        self._per_hop = (
+            cfg.noc.router_latency + cfg.noc.link_latency
+            + machine.network.serialization_cycles(cfg.l1.line_bytes) - 1
+        )
+        #: remaining-hops -> zero-load result-return latency (pure)
+        self._zll = {}
+
+    def _wait_cap(self, location) -> int:
+        return self._caps[location]
+
+    def _hol_fn(self, location, key):
+        f = self._hol.get(key)
+        if f is None:
+            f = self.m.unit(location, key).table.hol_clearance
+            self._hol[key] = f
+        return f
+
+    def build(
+        self, core: int, op, now: int
+    ) -> List[StationCandidate]:
+        m = self.m
+        x, y = op.addr, op.addr2
+        amap = m.addr_info
+        ix = amap.get(x)
+        if ix is None:
+            ix = m.addr_fact(x)
+        iy = amap.get(y)
+        if iy is None:
+            iy = m.addr_fact(y)
+        hx, hy = ix[0], iy[0]
+        x_l2 = self._l2_status_at(x, now, hx, ix[1])
+        y_l2 = self._l2_status_at(y, now, hy, iy[1])
+        out: List[StationCandidate] = []
+        out.extend(
+            self._fused_network_candidate(
+                core, op, now, hx, hy, x_l2, y_l2, ix, iy
+            )
+        )
+        out.append(self._l2_candidate(core, now, hx, hy, x_l2, y_l2))
+        mc_cand, bank_cand = self._memory_candidates(core, op, now, x_l2, y_l2)
+        out.append(mc_cand)
+        out.append(bank_cand)
+        return out
+
+    def _l2_status_at(
+        self, addr: int, now: int, home: int, l2_line: int
+    ) -> Tuple[bool, int]:
+        m = self.m
+        if m.l2[home].probe(addr):
+            return True, now
+        pending = m.pending_l2_fill.get(l2_line, 0)
+        if pending > now:
+            return True, pending
+        if pending > 0:
+            return True, now
+        return False, NEVER
+
+    def _fused_network_candidate(
+        self,
+        core: int,
+        op,
+        now: int,
+        hx: int,
+        hy: int,
+        x_l2: Tuple[bool, int],
+        y_l2: Tuple[bool, int],
+        ix,
+        iy,
+    ) -> List[StationCandidate]:
+        """Base :meth:`_network_candidate` over the memoized facts.
+
+        Same trial logic and the same arithmetic on the same inputs —
+        the response sources and link ids come from the address map and
+        the flat all-pairs rows instead of the closed-form mesh walk,
+        and the pure per-config constants (per-hop cost, zero-load
+        return latency) are computed once instead of per compute.
+        """
+        m = self.m
+        cfg = m.cfg
+        src_x = hx if x_l2[0] else ix[3]
+        src_y = hy if y_l2[0] else iy[3]
+        if src_x == src_y or src_x == core or src_y == core:
+            return []
+        lids_x = None
+        if op.route_hint is not None and x_l2[0] and y_l2[0]:
+            try:
+                route_x = self._signature_from_nodes(op.route_hint.x_nodes)
+                route_y = self._signature_from_nodes(op.route_hint.y_nodes)
+            except ValueError:
+                route_x = m.route(src_x, core)
+                route_y = m.route(src_y, core)
+                lids_x = m._lids[src_x * m._nn + core]
+        else:
+            route_x = m.route(src_x, core)
+            route_y = m.route(src_y, core)
+            lids_x = m._lids[src_x * m._nn + core]
+        common = route_x.mask & route_y.mask
+        if not common:
+            return []
+        if lids_x is None:
+            link = m.mesh.link
+            lids_x = tuple(
+                link(a, b).link_id
+                for a, b in zip(route_x.nodes, route_x.nodes[1:])
+            )
+        dep_x = self._response_departure(core, op.addr, now, x_l2)
+        dep_y = self._response_departure(core, op.addr2, now, y_l2)
+        per_hop = self._per_hop
+        meet_window = cfg.noc.meet_window
+        nodes_x = route_x.nodes
+        nodes_y = route_y.nodes
+        best: Optional[Tuple[int, int, int, int, int]] = None
+        best_meet: Optional[Tuple[int, int, int, int, int]] = None
+        for idx, link_id in enumerate(lids_x):
+            if not common & (1 << link_id):
+                continue
+            tx = dep_x + per_hop * (idx + 1)
+            try:
+                j = nodes_y.index(nodes_x[idx])
+            except ValueError:
+                continue
+            ty = dep_y + per_hop * (j + 1)
+            dt = abs(tx - ty)
+            remaining = len(nodes_x) - (idx + 2)
+            entry = (dt, link_id, tx, ty, remaining)
+            if best is None or dt < best[0]:
+                best = entry
+            if dt <= meet_window and (
+                best_meet is None or remaining > best_meet[4]
+            ):
+                best_meet = entry
+        if best is None:
+            return []
+        aligned = op.kind == OpKind.PRE_COMPUTE and bool(
+            op.mask & NdcComponentMask.NETWORK
+        )
+        span = (meet_window * 3) // 2 if aligned else meet_window * 2
+        jitter = m.hash32(op.addr ^ (op.addr2 >> 3)) % max(1, span)
+        if aligned:
+            chosen = max(
+                (best_meet, best), key=lambda e: -1 if e is None else e[4]
+            )
+            gap = jitter
+        else:
+            chosen = best_meet if best_meet is not None else best
+            gap = chosen[0] + jitter
+        _, link_id, tx, ty, remaining_hops = chosen
+        t_meet = max(tx, ty) if aligned else min(tx, ty)
+        if gap > meet_window:
+            if not aligned:
+                return []
+            avail_x, avail_y = t_meet, NEVER
+        else:
+            avail_x, avail_y = t_meet, t_meet + gap
+        best_d_res = self._zll.get(remaining_hops)
+        if best_d_res is None:
+            best_d_res = m.network.zero_load_latency(
+                remaining_hops, WORD_BYTES
+            )
+            self._zll[remaining_hops] = best_d_res
+        best_node = nodes_x[len(nodes_x) - 1 - remaining_hops]
+        pkg_arrival = m.travel_time(
+            core, best_node, now + cfg.ndc.package_overhead, PKG_BYTES,
+            False,
+        )
+        if aligned:
+            pkg_arrival = max(pkg_arrival, t_meet)
+        key = ("link", link_id)
+        return [
+            StationCandidate(
+                NdcLocation.NETWORK,
+                best_node,
+                key,
+                avail_x,
+                avail_y,
+                pkg_arrival,
+                best_d_res + cfg.ndc.result_forward_overhead,
+                hol=self._hol_fn(NdcLocation.NETWORK, key)(now),
+                wait_cap=self._caps[NdcLocation.NETWORK],
+            )
+        ]
+
+    def _response_departure(
+        self, core: int, addr: int, now: int, l2_status: Tuple[bool, int]
+    ) -> int:
+        m = self.m
+        cfg = m.cfg
+        info = m.addr_info.get(addr)
+        if info is None:
+            info = m.addr_fact(addr)
+        req = m.travel_time(
+            core, info[0], now + cfg.l1.access_latency, REQ_BYTES,
+            commit=False,
+        )
+        resident, avail_from = l2_status
+        if resident:
+            return max(req, avail_from) + cfg.l2.access_latency
+        mc = m.mcs[info[2]]
+        t_mc = m.travel_time(
+            info[0], info[3], req + cfg.l2.access_latency, REQ_BYTES,
+            commit=False,
+        )
+        t_mem = t_mc + mc.queue_delay_estimate(addr, t_mc) + \
+            mc.service_time("miss")
+        return m.travel_time(
+            info[3], info[0], t_mem, cfg.l2.line_bytes, commit=False
+        )
+
+    def _l2_candidate(
+        self,
+        core: int,
+        now: int,
+        hx: int,
+        hy: int,
+        x_l2: Tuple[bool, int],
+        y_l2: Tuple[bool, int],
+    ) -> StationCandidate:
+        m = self.m
+        cfg = m.cfg
+        node = hx
+        pkg_arrival = m.travel_time(
+            core, node, now + cfg.ndc.package_overhead, PKG_BYTES,
+            commit=False,
+        )
+        avail_x = max(pkg_arrival, x_l2[1]) if x_l2[0] else NEVER
+        if hy == hx and y_l2[0]:
+            avail_y = max(pkg_arrival, y_l2[1])
+        else:
+            avail_y = NEVER
+        t_res0 = max(pkg_arrival, avail_x if avail_x < NEVER else pkg_arrival)
+        t_res1 = m.travel_time(node, core, t_res0, WORD_BYTES, commit=False)
+        d_res = (t_res1 - t_res0) + cfg.ndc.result_forward_overhead
+        key = ("l2", node)
+        return StationCandidate(
+            NdcLocation.CACHE, node, key, avail_x, avail_y,
+            pkg_arrival, d_res, extra_latency=cfg.l2.access_latency,
+            hol=self._hol_fn(NdcLocation.CACHE, key)(now),
+            wait_cap=self._caps[NdcLocation.CACHE],
+        )
+
+    def _memory_candidates(
+        self,
+        core: int,
+        op,
+        now: int,
+        x_l2: Tuple[bool, int],
+        y_l2: Tuple[bool, int],
+    ) -> Tuple[StationCandidate, StationCandidate]:
+        m = self.m
+        cfg = m.cfg
+        x, y = op.addr, op.addr2
+        amap = m.addr_info
+        ix = amap.get(x)
+        if ix is None:
+            ix = m.addr_fact(x)
+        iy = amap.get(y)
+        if iy is None:
+            iy = m.addr_fact(y)
+        mcx, mcy = ix[2], iy[2]
+        bx, by = ix[4], iy[4]
+        node = ix[3]
+        pkg_arrival = m.travel_time(
+            core, node, now + cfg.ndc.package_overhead, PKG_BYTES,
+            commit=False,
+        )
+        t_res1 = m.travel_time(
+            node, core, pkg_arrival, WORD_BYTES, commit=False
+        )
+        d_res = (t_res1 - pkg_arrival) + cfg.ndc.result_forward_overhead
+        mc = m.mcs[mcx]
+
+        x_in_mem = not x_l2[0]
+        y_in_mem = not y_l2[0]
+        same_bank_pair = x_in_mem and y_in_mem and mcx == mcy and bx == by
+        bus = cfg.memory.dram.bus_cycles
+
+        if same_bank_pair:
+            bank = mc.banks[bx]
+            row_x, row_y = ix[5], iy[5]
+            svc_x = mc.service_time(bank.outcome(row_x))
+            svc_y = mc.service_time("hit" if row_y == row_x else "conflict")
+            span = svc_x + svc_y
+            queue = bank.timeline.earliest_free(pkg_arrival, span) - \
+                pkg_arrival
+            first, second = queue + svc_x, queue + span
+            avail_x = pkg_arrival + first + bus
+            avail_y = pkg_arrival + second + bus
+            b_avail_x = pkg_arrival + first
+            b_avail_y = pkg_arrival + second
+        else:
+            if x_in_mem:
+                bank = mc.banks[bx]
+                svc = mc.service_time(bank.outcome(ix[5]))
+                queue = bank.timeline.earliest_free(pkg_arrival, svc) - \
+                    pkg_arrival
+                avail_x = pkg_arrival + queue + svc + bus
+                b_avail_x = pkg_arrival + queue + svc
+            else:
+                avail_x = NEVER
+                b_avail_x = NEVER
+            if y_in_mem and mcy == mcx:
+                bank_y = mc.banks[by]
+                svc_y1 = mc.service_time(bank_y.outcome(iy[5]))
+                queue_y = bank_y.timeline.earliest_free(
+                    pkg_arrival, svc_y1
+                ) - pkg_arrival
+                avail_y = pkg_arrival + queue_y + svc_y1 + bus
+            else:
+                avail_y = NEVER
+            b_avail_y = NEVER
+
+        key_mc = ("mc", mcx)
+        mc_cand = StationCandidate(
+            NdcLocation.MEMCTRL, node, key_mc, avail_x, avail_y,
+            pkg_arrival, d_res,
+            hol=self._hol_fn(NdcLocation.MEMCTRL, key_mc)(now),
+            wait_cap=self._caps[NdcLocation.MEMCTRL],
+        )
+        key_mem = ("mem", mcx, bx)
+        bank_cand = StationCandidate(
+            NdcLocation.MEMORY, node, key_mem, b_avail_x,
+            b_avail_y, pkg_arrival, d_res,
+            hol=self._hol_fn(NdcLocation.MEMORY, key_mem)(now),
+            wait_cap=self._caps[NdcLocation.MEMORY],
+        )
+        return mc_cand, bank_cand

@@ -21,30 +21,27 @@ needs the resource at an earlier cycle slides into the gap in front of
 a tentatively-held future slot instead of behind it.
 
 ``mode="commit-ahead"`` restores the seed behaviour (append after the
-last reservation, gaps are never reused); the contention-regression
-tests pin that the reserve/commit mode strictly reduces the
-serialization the approximation used to add.
+last reservation, gaps are never reused).  It is test-only: the timeline
+properties and the contention-regression tests use it to pin that the
+reserve/commit mode strictly reduces the serialization the
+approximation used to add; no simulator option selects it.
 
 :class:`CapacityTimeline` is the companion abstraction for *slotted*
 resources (NDC service and offload tables): reservations are intervals
 too, but the constraint is a maximum number of *concurrently live*
 intervals rather than mutual exclusion.
 
-Engine *profiles* (orthogonal to the scheduling mode) select between
-two implementations of the same semantics:
+Engine *profiles* select between two implementations of the same
+semantics:
 
 * ``"optimized"`` (default) — sorted-ends occupancy tracking for
   capacity timelines (``purge``/``latest_end``/``full`` stop rescanning
-  every live entry), memoized route/latency tables, and allocation-free
-  hot paths;
+  every live entry), memoized route/latency tables, and the fused hot
+  paths of the access, candidate and NoC-travel layers;
 * ``"reference"`` — the closed-form per-access computations the
   optimized structures memoize.  Kept so the differential-equivalence
   harness (``tests/test_differential.py``) can assert, cycle for cycle,
-  that no optimization ever changes a :class:`SimulationResult`;
-* ``"vectorized"`` — the optimized structures plus a numpy trace
-  pre-pass and fused hot paths (:mod:`repro.arch.vectorized`):
-  contention-free windows of the access stream are resolved in bulk,
-  and only contended ops drop into the event engine.
+  that no optimization ever changes a :class:`SimulationResult`.
 
 Profiles are *performance knobs*: they must never fork experiment
 cache keys (pinned by a test in ``tests/test_differential.py``).
@@ -64,8 +61,16 @@ ENGINE_MODES = (RESERVE_COMMIT, COMMIT_AHEAD)
 #: Engine implementation profiles (same semantics, different speed).
 OPTIMIZED = "optimized"
 REFERENCE = "reference"
-VECTORIZED = "vectorized"
-ENGINE_PROFILES = (OPTIMIZED, REFERENCE, VECTORIZED)
+ENGINE_PROFILES = (OPTIMIZED, REFERENCE)
+
+
+def check_engine_profile(profile: str) -> None:
+    """Reject an unknown engine profile, naming the valid set."""
+    if profile not in ENGINE_PROFILES:
+        valid = ", ".join(repr(p) for p in ENGINE_PROFILES)
+        raise ValueError(
+            f"unknown engine profile {profile!r} (valid profiles: {valid})"
+        )
 
 
 class ResourceTimeline:
@@ -180,25 +185,6 @@ class ResourceTimeline:
             starts.insert(i, start)
             ends.insert(i, end)
         return start
-
-    def _insert(self, start: int, end: int) -> None:
-        starts, ends = self._starts, self._ends
-        i = bisect_right(starts, start)
-        # Merge with the predecessor when touching (never overlapping:
-        # reserve() only ever places into genuinely free slots).
-        if i > 0 and ends[i - 1] == start:
-            if i < len(starts) and starts[i] == end:
-                # Bridges the gap exactly: predecessor + successor fuse.
-                ends[i - 1] = ends[i]
-                del starts[i]
-                del ends[i]
-            else:
-                ends[i - 1] = end
-        elif i < len(starts) and starts[i] == end:
-            starts[i] = start
-        else:
-            starts.insert(i, start)
-            ends.insert(i, end)
 
     # -- introspection -------------------------------------------------
     @property

@@ -8,10 +8,15 @@ candidate-construction, and NDC-execution layers (:mod:`~repro.arch
 .access`, :mod:`~repro.arch.candidates`, :mod:`~repro.arch.ndc_exec`)
 all operate on one shared instance; the
 :class:`~repro.arch.simulator.SystemSimulator` orchestrates them.
+
+:class:`MachineState` is the ``reference`` engine's implementation;
+:class:`FusedMachineState` is the default ``optimized`` engine's, with
+the NoC travel loop fused and derived address facts memoized.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -20,10 +25,9 @@ from repro.arch.engine import (
     ENGINE_PROFILES,
     OPTIMIZED,
     REFERENCE,
-    RESERVE_COMMIT,
     ResourceTimeline,
 )
-from repro.arch.events import EventBus, L2PortStall
+from repro.arch.events import EventBus, L2PortStall, LinkStall
 from repro.arch.memory import MemoryController
 from repro.arch.ndc_units import NdcUnit, OffloadTable
 from repro.arch.noc import Network
@@ -52,15 +56,9 @@ class Journey:
 class MachineState:
     """All modeled hardware plus cross-layer bookkeeping."""
 
-    #: Network implementation; the vectorized profile's machine subclass
-    #: (:class:`repro.arch.vectorized.VectorizedMachineState`) swaps in
-    #: its fused-transit network here.
-    network_class = Network
-
     def __init__(
         self,
         cfg: ArchConfig,
-        mode: str = RESERVE_COMMIT,
         bus: Optional[EventBus] = None,
         collect_pc_stats: bool = False,
         collect_window_series: bool = False,
@@ -69,16 +67,13 @@ class MachineState:
         if profile not in ENGINE_PROFILES:
             raise ValueError(f"unknown engine profile {profile!r}")
         self.cfg = cfg
-        self.mode = mode
         self.bus = bus
         self.profile = profile
         self.collect_pc_stats = collect_pc_stats
         self.collect_window_series = collect_window_series
         self.mesh: Mesh = mesh_for(cfg.noc.width, cfg.noc.height)
-        self.network = self.network_class(
-            self.mesh, cfg.noc, mode=mode, bus=bus, profile=profile
-        )
-        #: all-pairs memoized XY routes (optimized + vectorized; the
+        self.network = Network(self.mesh, cfg.noc, bus=bus, profile=profile)
+        #: all-pairs memoized XY routes (optimized profile; the
         #: reference profile recomputes every route closed-form)
         self._route_table = (
             None if profile == REFERENCE else route_table_for(self.mesh)
@@ -93,11 +88,11 @@ class MachineState:
         ]
         #: one lookup port per L2 bank: concurrent requests serialize
         self.l2_ports = [
-            ResourceTimeline(f"l2port:{n}", mode)
+            ResourceTimeline(f"l2port:{n}")
             for n in range(self.mesh.num_nodes)
         ]
         self.mcs = [
-            MemoryController(cfg, m, mode=mode, bus=bus)
+            MemoryController(cfg, m, bus=bus)
             for m in range(cfg.memory.num_controllers)
         ]
         self.ndc_units: Dict[tuple, NdcUnit] = {}
@@ -198,16 +193,9 @@ class MachineState:
     ) -> int:
         """Arrival-only :meth:`travel` for call sites that discard the
         link stamps (reserve-phase estimates, package flights, result
-        returns).  Identical timing, contention, statistics, and event
-        emission — pinned by the differential harness — but the
-        optimized profile skips the Traversal/stamp allocations."""
+        returns)."""
         if src == dst:
             return start
-        table = self._route_table
-        if table is not None:
-            return self.network.transit(
-                table.link_ids(src, dst), start, payload, commit
-            )
         return self.network.traverse(
             xy_route(self.mesh, src, dst), start, payload, commit=commit
         ).completion
@@ -268,3 +256,179 @@ class MachineState:
                 name = "ndc:" + ":".join(str(k) for k in key)
                 out[name] = (admitted, completed, rejected)
         return dict(sorted(out.items()))
+
+
+class FusedMachineState(MachineState):
+    """Machine state of the ``optimized`` engine.
+
+    Derived address facts are memoized per simulation, and
+    :meth:`travel_time` runs the NoC hop walk in one fused loop over
+    the link timelines' own interval lists.  The overwhelmingly common
+    "no reservation ends after the wanted departure" case appends to a
+    list in O(1) instead of walking it.  Timing, counters and events
+    are identical to :meth:`MachineState.travel_time` (pinned by the
+    differential harness and a hypothesis property).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        table = self._route_table
+        #: flat all-pairs link-id rows (src * num_nodes + dst)
+        self._lids = table._link_ids
+        self._nn = table.mesh.num_nodes
+        links = self.network.timelines()
+        #: flat per-link interval lists, aliasing each timeline's own
+        #: storage (ResourceTimeline mutates the lists in place, never
+        #: rebinds them) — one index instead of index + attribute load
+        #: on every hop of every transit
+        self._lstarts = [tl._starts for tl in links]
+        self._lends = [tl._ends for tl in links]
+        #: payload bytes -> (serialization cycles, per-hop tail)
+        self._ser_tail = {}
+        #: addr -> (home, l2 line, mc id, mc node, bank, row), filled on
+        #: first use by :meth:`addr_fact`
+        self.addr_info = {}
+        #: live only during a compute's pure estimate/candidate phase
+        self._pure_memo = None
+        #: journeys feed the Section 4 window profiler only; replay
+        #: without it skips the stamp/Journey construction entirely
+        self.keep_journeys = True
+
+    def addr_fact(self, addr: int):
+        """Derived facts for ``addr`` (computed on first use)."""
+        info = self.addr_info.get(addr)
+        if info is None:
+            cfg = self.cfg
+            mc_id = cfg.memory_controller(addr)
+            info = (
+                cfg.l2_home_node(addr),
+                addr // cfg.l2.line_bytes,
+                mc_id,
+                self.mesh.mc_node(mc_id),
+                cfg.dram_bank(addr),
+                cfg.dram_row(addr),
+            )
+            self.addr_info[addr] = info
+        return info
+
+    # ------------------------------------------------------------------
+    def travel_time(
+        self, src: int, dst: int, start: int, payload: int, commit: bool
+    ) -> int:
+        if src == dst:
+            return start
+        link_ids = self._lids[src * self._nn + dst]
+        net = self.network
+        st = self._ser_tail.get(payload)
+        if st is None:
+            ser = net.serialization_cycles(payload)
+            st = (ser, net._hop_tail + ser)
+            self._ser_tail[payload] = st
+        ser, tail = st
+        lstarts = self._lstarts
+        lends = self._lends
+        router_latency = net._router_latency
+        bisect = bisect_right
+        t = start
+        if not commit:
+            memo = self._pure_memo
+            if memo is not None:
+                key = (src, dst, start, payload)
+                hit = memo.get(key)
+                if hit is not None:
+                    return hit
+            for link_id in link_ids:
+                ends = lends[link_id]
+                want = t + router_latency
+                if not ends or ends[-1] <= want:
+                    t = want + tail
+                    continue
+                # Inlined ResourceTimeline.earliest_free (gap-fill,
+                # span > 0, non-empty): skip intervals ending at or
+                # before `want`, then walk the remaining gaps.  Interval
+                # lists stay short (merges fuse neighbours), so a linear
+                # skip beats the bisect call except on long tails.
+                starts = lstarts[link_id]
+                n = len(starts)
+                if n < 8:
+                    i = 0
+                    while i < n and ends[i] <= want:
+                        i += 1
+                else:
+                    i = bisect(ends, want)
+                free = want
+                while i < n:
+                    if starts[i] - free >= ser:
+                        break
+                    e = ends[i]
+                    if e > free:
+                        free = e
+                    i += 1
+                t = free + tail
+            if memo is not None:
+                memo[key] = t
+            return t
+        links = net._links
+        bus = net.bus
+        stats = net.stats
+        flits = 0
+        for link_id in link_ids:
+            tl = links[link_id]
+            ends = lends[link_id]
+            want = t + router_latency
+            tl.reservations += 1
+            tl.busy_cycles += ser
+            if not ends or ends[-1] <= want:
+                # O(1) append/extend: the gap walk would land here anyway.
+                if ends and ends[-1] == want:
+                    ends[-1] = want + ser
+                else:
+                    lstarts[link_id].append(want)
+                    ends.append(want + ser)
+                t = want + tail
+            else:
+                # Inlined ResourceTimeline.reserve (gap-fill, span > 0,
+                # non-empty): same single gap walk, then the same
+                # predecessor/successor merge on insertion.
+                starts = lstarts[link_id]
+                n = len(starts)
+                if n < 8:
+                    i = 0
+                    while i < n and ends[i] <= want:
+                        i += 1
+                else:
+                    i = bisect(ends, want)
+                free = want
+                while i < n:
+                    if starts[i] - free >= ser:
+                        break
+                    e = ends[i]
+                    if e > free:
+                        free = e
+                    i += 1
+                end = free + ser
+                queue = free - want
+                tl.stall_cycles += queue
+                if i > 0 and ends[i - 1] == free:
+                    if i < n and starts[i] == end:
+                        # Bridges the gap exactly: both neighbours fuse.
+                        ends[i - 1] = ends[i]
+                        del starts[i]
+                        del ends[i]
+                    else:
+                        ends[i - 1] = end
+                elif i < n and starts[i] == end:
+                    starts[i] = free
+                else:
+                    starts.insert(i, free)
+                    ends.insert(i, end)
+                if queue:
+                    stats.total_queue_cycles += queue
+                    if bus is not None:
+                        bus.emit(LinkStall(cycle=want, link=link_id,
+                                           stall=queue))
+                t = free + tail
+            flits += ser
+        stats.flit_hops += flits
+        stats.transfers += 1
+        return t

@@ -5,9 +5,9 @@ is a :class:`~repro.arch.engine.ResourceTimeline` plus the currently
 open row.  A request arriving at time ``t`` is charged
 
 * queueing delay until its bank has a free slot long enough for the
-  service (under the default reserve/commit mode a request may claim a
-  *gap* in front of usage committed further into the future — the seed
-  engine's commit-ahead clock could only ever append),
+  service (a request may claim a *gap* in front of usage committed
+  further into the future — the seed engine's commit-ahead clock could
+  only ever append),
 * a DRAM service time depending on the row-buffer outcome
   (hit / closed-bank miss / conflict), and
 * FR-FCFS is approximated by granting row-buffer *hits* a scheduling
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.arch.engine import RESERVE_COMMIT, ResourceTimeline
+from repro.arch.engine import ResourceTimeline
 from repro.arch.events import DramRowConflict, EventBus
 from repro.config import ArchConfig, DramConfig
 
@@ -41,10 +41,10 @@ class DramBankState:
 
     __slots__ = ("open_row", "queued", "timeline")
 
-    def __init__(self, name: str = "dram", mode: str = RESERVE_COMMIT):
+    def __init__(self, name: str = "dram"):
         self.open_row = -1          #: -1 = closed (precharged)
         self.queued = 0             #: requests that found the bank busy
-        self.timeline = ResourceTimeline(name, mode)
+        self.timeline = ResourceTimeline(name)
 
     @property
     def ready_at(self) -> int:
@@ -85,7 +85,6 @@ class MemoryController:
         self,
         cfg: ArchConfig,
         controller_id: int,
-        mode: str = RESERVE_COMMIT,
         bus: Optional[EventBus] = None,
     ):
         self.cfg = cfg
@@ -94,7 +93,7 @@ class MemoryController:
         dram: DramConfig = cfg.memory.dram
         self.dram = dram
         self.banks: List[DramBankState] = [
-            DramBankState(f"dram:{controller_id}:{b}", mode)
+            DramBankState(f"dram:{controller_id}:{b}")
             for b in range(dram.banks_per_controller)
         ]
         self.stats = MemoryStats()

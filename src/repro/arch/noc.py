@@ -8,11 +8,10 @@ width.  Traversal returns the arrival time at *every* node along the
 route, because NDC-at-router needs to know when an operand is present
 in each intermediate link buffer.
 
-Under the default reserve/commit engine mode, a transfer claims the
-*earliest gap* that fits on each link — so traffic committed deep into
-the future by a long op no longer blocks temporally-earlier transfers
-(the seed's commit-ahead over-serialization).  ``mode="commit-ahead"``
-restores the old append-only behaviour for regression comparisons.
+A transfer claims the *earliest gap* that fits on each link — so
+traffic committed deep into the future by a long op no longer blocks
+temporally-earlier transfers (the seed's commit-ahead
+over-serialization, which survives only as a test-only timeline mode).
 
 This is a queueing approximation of a wormhole network: it models the
 first-order effects the paper's metrics depend on (hop latency, hot-link
@@ -28,7 +27,6 @@ from repro.arch.engine import (
     ENGINE_PROFILES,
     OPTIMIZED,
     REFERENCE,
-    RESERVE_COMMIT,
     ResourceTimeline,
 )
 from repro.arch.events import EventBus, LinkStall
@@ -75,7 +73,6 @@ class Network:
         self,
         mesh: Mesh,
         cfg: NocConfig,
-        mode: str = RESERVE_COMMIT,
         bus: Optional[EventBus] = None,
         profile: str = OPTIMIZED,
     ):
@@ -85,11 +82,10 @@ class Network:
             raise ValueError(f"unknown engine profile {profile!r}")
         self.mesh = mesh
         self.cfg = cfg
-        self.mode = mode
         self.profile = profile
         self.bus = bus
         self._links: List[ResourceTimeline] = [
-            ResourceTimeline(f"link:{i}", mode) for i in range(mesh.num_links)
+            ResourceTimeline(f"link:{i}") for i in range(mesh.num_links)
         ]
         #: per-hop pipeline constants, hoisted off the config dataclass
         #: for the per-flit-group inner loop
@@ -157,46 +153,6 @@ class Network:
         if commit:
             stats.transfers += 1
         return Traversal(route, tuple(times))
-
-    def transit(
-        self,
-        link_ids: Tuple[int, ...],
-        start: int,
-        payload_bytes: int,
-        commit: bool = True,
-    ) -> int:
-        """Arrival-only flavour of :meth:`traverse`.
-
-        Identical timing, contention, statistics, and event emission —
-        but no :class:`Traversal`/per-node-times allocation.  The hot
-        path uses it wherever the caller discards the link stamps
-        (every reserve-phase estimate, package flights, result
-        returns); the differential harness pins the equivalence.
-        """
-        ser = self.serialization_cycles(payload_bytes)
-        bus = self.bus
-        links = self._links
-        stats = self.stats
-        router_latency = self._router_latency
-        tail = self._hop_tail + ser
-        t = start
-        if commit:
-            for link_id in link_ids:
-                want = t + router_latency
-                depart = links[link_id].reserve(want, ser)
-                queue = depart - want
-                stats.total_queue_cycles += queue
-                stats.flit_hops += ser
-                if queue > 0 and bus is not None:
-                    bus.emit(LinkStall(cycle=want, link=link_id,
-                                       stall=queue))
-                t = depart + tail
-            stats.transfers += 1
-        else:
-            for link_id in link_ids:
-                want = t + router_latency
-                t = links[link_id].earliest_free(want, ser) + tail
-        return t
 
     def zero_load_latency(self, hops: int, payload_bytes: int) -> int:
         """Latency of an uncontended ``hops``-hop transfer."""

@@ -18,9 +18,8 @@ Shared resources are modeled as reserve/commit interval timelines
 that fits on each resource, so a long op that commits usage deep into
 the future no longer blocks other cores' temporally-earlier ops.  This
 retires the seed's commit-ahead approximation, which over-serialized
-bursts of concurrent long offloads behind scalar busy-until clocks.
-``engine_mode="commit-ahead"`` restores the old append-only behaviour
-for regression comparisons.
+bursts of concurrent long offloads behind scalar busy-until clocks; the
+old append-only behaviour survives only as a test-only timeline mode.
 
 Layering
 --------
@@ -48,19 +47,30 @@ An optional :class:`~repro.arch.events.EventBus` threads through every
 layer; when attached, offload transitions and contention stalls are
 published as typed events (``repro bench --trace-events``).  Disabled
 runs construct no event objects at all.
+
+Engines
+-------
+Two engine profiles compose the same layers from different classes
+(:data:`ENGINES`).  ``"optimized"``, the default, runs the ``Fused*``
+subclass of each layer and this class's own :meth:`SystemSimulator.run`
+and ``_exec_compute``.  ``"reference"`` runs the base classes and the
+frozen replay loop: the oracle the differential harness
+(``tests/test_differential.py``) holds the default to, cycle for cycle.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from types import MethodType
 from typing import Dict, List, Optional
 
-from repro.arch.access import AccessPath
-from repro.arch.candidates import CandidateBuilder
-from repro.arch.engine import OPTIMIZED, RESERVE_COMMIT, VECTORIZED
+from repro.arch.access import AccessPath, FusedAccessPath
+from repro.arch.candidates import CandidateBuilder, FusedCandidateBuilder
+from repro.arch.engine import OPTIMIZED, REFERENCE, check_engine_profile
 from repro.arch.events import EventBus
-from repro.arch.machine import MachineState
+from repro.arch.machine import FusedMachineState, MachineState
 from repro.arch.ndc_exec import NdcExecutor
 from repro.arch.profiling import Profiler
 from repro.arch.stats import NEVER, SimStats
@@ -107,45 +117,20 @@ class SystemSimulator:
         every (compute, location) pair — the Section 4 quantification.
     collect_window_series:
         When True, keep the per-PC sequence of observed windows (Fig. 5).
-    engine_mode:
-        ``"reserve-commit"`` (default) resolves resource contention by
-        gap-filling interval timelines; ``"commit-ahead"`` reproduces
-        the seed's append-only over-serialization for comparisons.
     engine_profile:
-        ``"optimized"`` (default) uses the memoized route tables, the
-        heap-backed capacity timelines, and the stamp-free NoC transit
-        path; ``"reference"`` keeps the pre-optimization per-access
-        implementations.  Profiles are *performance knobs only*: the
-        differential harness (``tests/test_differential.py``) pins both
-        to cycle-exact identical :class:`SimulationResult`s, and they
-        never enter the runtime's cache keys.
+        ``"optimized"`` (default) runs the fused hot paths: memoized
+        address facts, a one-loop NoC travel, shared pure estimates,
+        and a replay loop that skips the heap round trip while a core
+        stays earliest; ``"reference"`` runs the frozen
+        pre-optimization implementation.  Profiles are *performance
+        knobs only*: the differential harness
+        (``tests/test_differential.py``) pins both to cycle-exact
+        identical :class:`SimulationResult`s, and they never enter the
+        runtime's cache keys.
     event_bus:
         Optional instrumentation bus; offload/stall events are
         published onto it as they happen.
     """
-
-    #: component hooks: the ``vectorized`` profile's simulator subclass
-    #: (:mod:`repro.arch.vectorized`) swaps in its fused implementations
-    #: here; everything else composes against these names.
-    machine_class = MachineState
-    access_class = AccessPath
-    candidates_class = CandidateBuilder
-    executor_class = NdcExecutor
-
-    def __new__(cls, *args, **kwargs):
-        # The profile seam: ``SystemSimulator(cfg, ...,
-        # engine_profile="vectorized")`` transparently constructs the
-        # vectorized subclass, so every caller behind the seam (pool
-        # workers, the batch executor, tests) picks it up unchanged.
-        if cls is SystemSimulator:
-            profile = kwargs.get("engine_profile")
-            if profile is None and len(args) > 6:
-                profile = args[6]
-            if profile == VECTORIZED:
-                from repro.arch.vectorized import VectorizedSimulator
-
-                return object.__new__(VectorizedSimulator)
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -154,29 +139,36 @@ class SystemSimulator:
         profile_windows: bool = False,
         collect_window_series: bool = False,
         collect_pc_stats: bool = False,
-        engine_mode: str = RESERVE_COMMIT,
         engine_profile: str = OPTIMIZED,
         event_bus: Optional[EventBus] = None,
     ):
+        check_engine_profile(engine_profile)
+        machine_cls, access_cls, candidates_cls, loop = ENGINES[engine_profile]
         self.cfg = cfg
         self.scheme = scheme or NoNdc()
         self.profile_windows = profile_windows
         self.collect_window_series = collect_window_series
         self.collect_pc_stats = collect_pc_stats
-        self.machine = self.machine_class(
+        self.machine = machine_cls(
             cfg,
-            mode=engine_mode,
             bus=event_bus,
             collect_pc_stats=collect_pc_stats,
             collect_window_series=collect_window_series,
             profile=engine_profile,
         )
-        self.access_path = self.access_class(self.machine)
-        self.candidate_builder = self.candidates_class(self.machine)
-        self.ndc_executor = self.executor_class(
+        self.access_path = access_cls(self.machine)
+        self.candidate_builder = candidates_cls(self.machine)
+        self.ndc_executor = NdcExecutor(
             self.machine, self.access_path, self.scheme
         )
         self.profiler = Profiler(self.machine)
+        if loop is not None:
+            # The frozen replay loop and compute step, bound over the
+            # class's fused ones for this instance only.
+            self.run, self._exec_compute = (MethodType(f, self) for f in loop)
+        else:
+            self.machine.keep_journeys = profile_windows
+            self._scheme_is_nondc = isinstance(self.scheme, NoNdc)
 
     # ==================================================================
     # shared-state views (stable API; tests and analysis rely on these)
@@ -209,60 +201,40 @@ class SystemSimulator:
     def pc_stats(self) -> Dict[int, List[int]]:
         return self.machine.pc_stats
 
-    @property
-    def _ndc_units(self):
-        return self.machine.ndc_units
-
-    @property
-    def _dirty(self):
-        return self.machine.dirty
-
-    @property
-    def _journeys(self):
-        return self.machine.journeys
-
-    @property
-    def _pending_l2_fill(self):
-        return self.machine.pending_l2_fill
-
-    def _writeback_lag(self, l2_line: int) -> int:
-        return self.machine.writeback_lag(l2_line)
-
-    def _access(self, core, addr, now, commit, allocate_l1=True, pc=-1):
-        return self.access_path.access(
-            core, addr, now, commit, allocate_l1=allocate_l1, pc=pc
-        )
-
-    def _store(self, core, addr, now):
-        return self.access_path.store(core, addr, now)
-
-    def _candidates(self, core, op, now):
-        return self.candidate_builder.build(core, op, now)
-
     # ==================================================================
     # compute execution
     # ==================================================================
     def _exec_compute(self, core: int, op: TraceOp, now: int) -> int:
         """Execute a COMPUTE/PRE_COMPUTE; returns its completion cycle."""
         m = self.machine
-        m.stats.computes += 1
-        l1 = m.l1[core]
-        l1_hit_x = l1.probe(op.addr)
-        l1_hit_y = l1.probe(op.addr2)
+        # The estimate/candidate phase is purely observational (nothing
+        # is claimed until the decision executes), so reserve-phase
+        # travel queries repeated with identical arguments inside this
+        # one compute are memoized; the memo dies before any commit.
+        m._pure_memo = {}
+        try:
+            m.stats.computes += 1
+            l1 = m.l1[core]
+            l1_hit_x = l1.probe(op.addr)
+            l1_hit_y = l1.probe(op.addr2)
 
-        # Conventional estimate (pure).
-        est_x = self.access_path.access(core, op.addr, now, commit=False)
-        est_y = self.access_path.access(core, op.addr2, now, commit=False)
-        conv_completion = max(est_x.completion, est_y.completion) + 1
+            ap = self.access_path
+            est_x = ap.estimate(core, op.addr, now, l1_hit_x)
+            est_y = ap.estimate(core, op.addr2, now, l1_hit_y)
+            conv_completion = (est_x if est_x >= est_y else est_y) + 1
 
-        candidates = self.candidate_builder.build(core, op, now)
-        if self.profile_windows:
-            self.profiler.record(op, conv_completion - now, now, candidates)
+            candidates = self.candidate_builder.build(core, op, now)
+            if self.profile_windows:
+                self.profiler.record(
+                    op, conv_completion - now, now, candidates
+                )
+        finally:
+            m._pure_memo = None
 
         # LD/ST-unit local probe (Fig. 1): with an operand already in the
         # local L1, the computation always runs on the core — hardware
         # skips the offload path before any scheme policy applies.
-        if (l1_hit_x or l1_hit_y) and not isinstance(self.scheme, NoNdc):
+        if (l1_hit_x or l1_hit_y) and not self._scheme_is_nondc:
             m.stats.ndc.skipped_local_hit += 1
             m.stats.ndc.conventional += 1
             return self._exec_conventional(core, op, now)
@@ -316,6 +288,99 @@ class SystemSimulator:
         heap = [(0, core) for core, s in enumerate(trace) if s]
         heapq.heapify(heap)
 
+        stats = m.stats
+        access = self.access_path.access
+        store = self.access_path.store
+        exec_compute = self._exec_compute
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        LOAD = OpKind.LOAD
+        STORE = OpKind.STORE
+        WORK = OpKind.WORK
+
+        # Watermark trimming of the link interval lists.  Heap pop
+        # times are non-decreasing and every timeline query an op issues
+        # carries a time argument >= its pop time, so an interval whose
+        # end is <= the current pop time can never delay a grant again.
+        # Dropping such dead head intervals keeps the per-query walks
+        # short on long replays.  Each list keeps its last interval, so
+        # the tail (``free_at``, ``link_utilization``) stays exact.
+        trim_lists = list(zip(m._lstarts, m._lends))
+        pops = 0
+
+        while heap:
+            now, core = heappop(heap)
+            pops += 1
+            if pops >= 256:
+                pops = 0
+                for t_starts, t_ends in trim_lists:
+                    last = len(t_ends) - 1
+                    if last > 0 and t_ends[0] <= now:
+                        k = bisect_right(t_ends, now, 0, last)
+                        del t_starts[:k]
+                        del t_ends[:k]
+            stream = trace[core]
+            n = len(stream)
+            i = cursors[core]
+            if i >= n:
+                continue
+            while True:
+                op = stream[i]
+                i += 1
+                stats.instructions += 1
+                kind = op.kind
+                if kind == LOAD:
+                    completion = access(
+                        core, op.addr, now, True, pc=op.pc
+                    ).completion
+                elif kind == STORE:
+                    completion = store(core, op.addr, now)
+                elif kind == WORK:
+                    completion = now + op.cost
+                else:
+                    completion = exec_compute(core, op, now)
+                if i >= n:
+                    cursors[core] = i
+                    clocks[core] = completion
+                    break
+                # Run extension: when this core's next event would be
+                # popped next anyway (heap order, ties on core id), skip
+                # the push/pop round trip — exactly heapq's pop order.
+                if not heap or (completion, core) <= heap[0]:
+                    now = completion
+                    continue
+                cursors[core] = i
+                clocks[core] = completion
+                heappush(heap, (completion, core))
+                break
+
+        stats.per_core_cycles = clocks
+        stats.total_cycles = max(clocks) if clocks else 0
+        stats.resource_util = m.resource_utilization()
+        return SimulationResult(
+            self.scheme.name,
+            stats,
+            self.cfg,
+            dict(m.pc_stats) if self.collect_pc_stats else None,
+        )
+
+    # ==================================================================
+    # the reference engine (frozen oracle; bound by __init__)
+    # ==================================================================
+    def _reference_run(self, trace: Trace) -> SimulationResult:
+        """Replay ``trace`` (one op stream per core) to completion."""
+        m = self.machine
+        if len(trace) > m.mesh.num_nodes:
+            raise ValueError(
+                f"trace has {len(trace)} streams but the mesh has only "
+                f"{m.mesh.num_nodes} nodes"
+            )
+        self.scheme.reset()
+        clocks = [0] * len(trace)
+        cursors = [0] * len(trace)
+        heap = [(0, core) for core, s in enumerate(trace) if s]
+        heapq.heapify(heap)
+
         while heap:
             now, core = heapq.heappop(heap)
             stream = trace[core]
@@ -351,6 +416,76 @@ class SystemSimulator:
             self.cfg,
             dict(m.pc_stats) if self.collect_pc_stats else None,
         )
+
+    def _reference_exec_compute(self, core: int, op: TraceOp, now: int) -> int:
+        """Execute a COMPUTE/PRE_COMPUTE; returns its completion cycle."""
+        m = self.machine
+        m.stats.computes += 1
+        l1 = m.l1[core]
+        l1_hit_x = l1.probe(op.addr)
+        l1_hit_y = l1.probe(op.addr2)
+
+        # Conventional estimate (pure).
+        est_x = self.access_path.access(core, op.addr, now, commit=False)
+        est_y = self.access_path.access(core, op.addr2, now, commit=False)
+        conv_completion = max(est_x.completion, est_y.completion) + 1
+
+        candidates = self.candidate_builder.build(core, op, now)
+        if self.profile_windows:
+            self.profiler.record(op, conv_completion - now, now, candidates)
+
+        # LD/ST-unit local probe (Fig. 1): with an operand already in the
+        # local L1, the computation always runs on the core — hardware
+        # skips the offload path before any scheme policy applies.
+        if (l1_hit_x or l1_hit_y) and not isinstance(self.scheme, NoNdc):
+            m.stats.ndc.skipped_local_hit += 1
+            m.stats.ndc.conventional += 1
+            return self._exec_conventional(core, op, now)
+
+        ctx = ComputeContext(
+            op=op,
+            core=core,
+            now=now,
+            conv_completion=conv_completion,
+            candidates=candidates,
+            l1_hit_x=l1_hit_x,
+            l1_hit_y=l1_hit_y,
+        )
+        if any(c.ready < NEVER for c in candidates):
+            m.stats.opportunities_seen += 1
+        decision = self.scheme.decide(ctx)
+
+        if decision.offload and decision.station is not None:
+            completion = self.ndc_executor.exec_ndc(
+                core, op, now, decision, conv_completion
+            )
+        else:
+            reason = decision.skip_reason
+            if reason == "local_hit":
+                m.stats.ndc.skipped_local_hit += 1
+            elif reason == "policy":
+                m.stats.ndc.skipped_policy += 1
+            elif reason == "no_station":
+                m.stats.ndc.skipped_no_station += 1
+            m.stats.ndc.conventional += 1
+            completion = self._exec_conventional(core, op, now)
+        return completion
+
+
+#: engine profile -> (machine, access path, candidate builder classes,
+#: replay loop + compute step).  ``None`` keeps the class's own fused
+#: :meth:`SystemSimulator.run` and ``_exec_compute``, so the default
+#: engine's replay stays reachable as ``SystemSimulator.run``.
+ENGINES = {
+    OPTIMIZED: (
+        FusedMachineState, FusedAccessPath, FusedCandidateBuilder, None
+    ),
+    REFERENCE: (
+        MachineState, AccessPath, CandidateBuilder,
+        (SystemSimulator._reference_run,
+         SystemSimulator._reference_exec_compute),
+    ),
+}
 
 
 def simulate(

@@ -10,11 +10,10 @@ Three tiers, cheapest first:
   Algorithm 2 at scale 0.1) per engine profile; the ``speedup`` ratio
   on this tier is a regression-gate metric;
 * **lineup** — the whole Fig. 4 scheme lineup on one benchmark through
-  the *executor path* (what a sweep iteration actually costs): per-unit
-  :func:`~repro.runtime.parallel.execute_job` — trace generation
-  included — for the reference and optimized profiles, and the batch
-  executor (:mod:`repro.runtime.batch`) for the vectorized profile.
-  The ``vectorized_speedup`` ratio here is the second gate metric.
+  the *executor path* (what a sweep chunk actually costs): the chunk
+  executor (:mod:`repro.runtime.batch`) from cold trace caches, trace
+  generation included, once per profile.  Its ``speedup`` ratio is the
+  second gate metric.
 
 All measurements are best-of-``repeats`` wall-clock
 (``time.perf_counter``) with the cycle collector parked outside the
@@ -36,24 +35,18 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 BASELINE_FILENAME = "BENCH_engine.json"
-#: v2: the lineup tier measures the executor path (per-unit vs batch)
-#: instead of bare pre-built-trace simulation loops, and both whole-sim
-#: tiers grew ``vectorized_*`` columns; schema-1 baselines gate only on
+#: v3: two engine profiles; both whole-sim tiers carry ``optimized_*``,
+#: ``reference_*`` and ``speedup``, and the lineup tier runs both
+#: profiles through the chunk executor.  Older baselines gate only on
 #: the metrics they carry.
-SCHEMA = 2
+SCHEMA = 3
 
 #: the regression-gate metrics inside the report (section, metric);
-#: metrics absent from a (older-schema) baseline are skipped.  The
-#: vectorized profile gates on the *lineup* tier only: a single
-#: smoke-sized simulation cannot amortize the trace pre-pass, so its
-#: single-sim ratio varies with scale rather than with regressions
-#: (it stays in the report as an informational column).
+#: metrics absent from a (older-schema) baseline are skipped.
 GATE_METRICS = (
     ("single_sim", "speedup"),
-    ("lineup", "vectorized_speedup"),
+    ("lineup", "speedup"),
 )
-#: backward-compat alias (pre-schema-2 name)
-GATE_METRIC = GATE_METRICS[0]
 
 
 def _best_of(fn: Callable[[], None], repeats: int) -> float:
@@ -178,7 +171,7 @@ def _single_sim_tier(
     benchmark: str, scale: float, repeats: int
 ) -> Dict[str, object]:
     from repro import schemes as S
-    from repro.arch.engine import OPTIMIZED, REFERENCE, VECTORIZED
+    from repro.arch.engine import OPTIMIZED, REFERENCE
     from repro.config import DEFAULT_CONFIG
     from repro.workloads import benchmark_trace
 
@@ -188,18 +181,14 @@ def _single_sim_tier(
     def run(profile: str) -> Callable[[], None]:
         return lambda: _sim_once(trace, cfg, S.CompilerDirected, profile)
 
-    opt, ref, vec = _interleaved_best(
-        [run(OPTIMIZED), run(REFERENCE), run(VECTORIZED)], repeats
-    )
+    opt, ref = _interleaved_best([run(OPTIMIZED), run(REFERENCE)], repeats)
     return {
         "benchmark": benchmark,
         "scheme": "algorithm-2",
         "scale": scale,
         "optimized_s": round(opt, 6),
         "reference_s": round(ref, 6),
-        "vectorized_s": round(vec, 6),
         "speedup": round(ref / opt, 4) if opt > 0 else 0.0,
-        "vectorized_speedup": round(ref / vec, 4) if vec > 0 else 0.0,
     }
 
 
@@ -208,20 +197,17 @@ def _lineup_tier(
 ) -> Dict[str, object]:
     """Executor-path lineup throughput per profile.
 
-    Reference and optimized run the per-unit execution core (one
-    ``execute_job`` per scheme, trace generation included per job —
-    exactly what a cold per-unit sweep scattered over pool workers
-    pays); the vectorized profile runs the batch executor over the
-    same keys with a cold trace LRU per repeat, amortizing generation
-    across the chunk.  All three produce pinned-identical results; the
-    ratios measure the full executor paths against each other.
+    Both profiles run the chunk executor over the same keys, from cold
+    trace caches each repeat — exactly what a pool worker handed one
+    trace-grouped lineup chunk pays: one trace generation per variant,
+    then every scheme's simulation.  The results are pinned identical,
+    so the ratio measures the two engines on the full executor path.
     """
     from repro import schemes as S
-    from repro.arch.engine import OPTIMIZED, REFERENCE, VECTORIZED
+    from repro.arch.engine import OPTIMIZED, REFERENCE
     from repro.config import DEFAULT_CONFIG
     from repro.runtime import batch as batch_mod
     from repro.runtime.keys import JobKey, config_digest
-    from repro.runtime.parallel import execute_job
     from repro.workloads import tracegen
 
     cfg = DEFAULT_CONFIG
@@ -234,30 +220,19 @@ def _lineup_tier(
             label=scheme.name, scale=scale, config_digest=digest,
         ))
 
-    def per_unit(profile: str) -> Callable[[], None]:
+    def chunk(profile: str) -> Callable[[], None]:
         def go() -> None:
-            # Cold executor path: every job regenerates its trace, as
-            # a per-unit sweep scattered across fresh pool workers
-            # pays it — each job lands on a worker whose trace LRU has
-            # not seen this variant.  (Amortizing exactly this
-            # duplication is the batch executor's reason to exist, so
-            # the per-unit side must not ride a warm LRU here.)
-            for key in keys:
-                tracegen.clear_cache()
-                execute_job(cfg, key, engine_profile=profile)
+            tracegen.clear_cache()
+            batch_mod.clear_trace_cache()
+            for _ in batch_mod.execute_batch(
+                cfg, keys, engine_profile=profile
+            ):
+                pass
 
         return go
 
-    def batched() -> None:
-        tracegen.clear_cache()
-        batch_mod.clear_trace_cache()
-        for _ in batch_mod.execute_batch(
-            cfg, keys, engine_profile=VECTORIZED
-        ):
-            pass
-
-    opt, ref, vec = _interleaved_best(
-        [per_unit(OPTIMIZED), per_unit(REFERENCE), batched], repeats
+    opt, ref = _interleaved_best(
+        [chunk(OPTIMIZED), chunk(REFERENCE)], repeats
     )
     return {
         "benchmark": benchmark,
@@ -265,9 +240,7 @@ def _lineup_tier(
         "schemes": len(keys),
         "optimized_s": round(opt, 6),
         "reference_s": round(ref, 6),
-        "vectorized_s": round(vec, 6),
         "speedup": round(ref / opt, 4) if opt > 0 else 0.0,
-        "vectorized_speedup": round(ref / vec, 4) if vec > 0 else 0.0,
     }
 
 
@@ -328,17 +301,13 @@ def render_report(report: Dict[str, object]) -> str:
         f"({eng['capacity_timeline_speedup']:.2f}x)",
         f"  single-sim  ({single['benchmark']} {single['scheme']} @ "
         f"{single['scale']}): {single['optimized_s']:.3f}s opt / "
-        f"{single['reference_s']:.3f}s ref / "
-        f"{single['vectorized_s']:.3f}s vec "
-        f"-> {single['speedup']:.2f}x opt, "
-        f"{single['vectorized_speedup']:.2f}x vec",
+        f"{single['reference_s']:.3f}s ref "
+        f"-> {single['speedup']:.2f}x",
         f"  lineup      ({lineup['benchmark']} x{lineup['schemes']} "
         f"schemes @ {lineup['scale']}, executor path): "
         f"{lineup['optimized_s']:.3f}s opt / "
-        f"{lineup['reference_s']:.3f}s ref / "
-        f"{lineup['vectorized_s']:.3f}s vec batch "
-        f"-> {lineup['speedup']:.2f}x opt, "
-        f"{lineup['vectorized_speedup']:.2f}x vec",
+        f"{lineup['reference_s']:.3f}s ref "
+        f"-> {lineup['speedup']:.2f}x",
     ]
     return "\n".join(lines)
 
@@ -357,8 +326,7 @@ def compare_to_baseline(
     ``max_slowdown_pct`` percent of the baseline ratio's
     advantage-over-1x; CI passes a generous threshold to absorb noisy
     shared runners.  Metrics the baseline does not carry (older schema)
-    are skipped, so a schema-1 baseline still gates the single-sim
-    optimized speedup.
+    are skipped.
     """
     messages: List[str] = []
     ok = True

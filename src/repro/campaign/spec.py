@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.arch.engine import ENGINE_PROFILES, OPTIMIZED
+from repro.arch.engine import OPTIMIZED, check_engine_profile
 from repro.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.tunables import Tunables
 from repro.workloads.suite import (
@@ -256,8 +256,7 @@ class SweepSpec:
             if not 0 < float(scale) <= 1.0:
                 raise ValueError(f"scale {scale} out of (0, 1]")
         for profile in self.engine_profiles:
-            if profile not in ENGINE_PROFILES:
-                raise ValueError(f"unknown engine profile {profile!r}")
+            check_engine_profile(profile)
         for diff in self.tunables:
             if diff is not None:
                 Tunables().replace(**dict(diff))  # validates field names

@@ -9,11 +9,7 @@ everything that is pure per trace signature:
 
 * **trace generation** — one process-wide LRU keyed by the full trace
   signature (benchmark, variant, scale, config, tunables, pass
-  options).  Beyond skipping regeneration, the LRU guarantees *object
-  identity* of the trace across the chunk, which is what makes the
-  vectorized profile's identity-keyed pre-pass cache
-  (:mod:`repro.arch.prepass`) hit: address maps and contention-free
-  windows are computed once per trace, not once per simulation;
+  options), so every job of the chunk replays the same trace object;
 * **route tables and serialization memos** — already process-wide
   (:mod:`repro.arch.routing`); a batch touches each exactly once and
   every subsequent job rides the warm entries.
@@ -41,8 +37,7 @@ from repro.runtime.keys import JobKey
 from repro.workloads.tracegen import compiled_trace
 
 #: trace signature -> (trace, pass report); a handful of signatures is
-#: plenty (a lineup has one, a sweep chunk a few), and entries pin the
-#: trace objects the pre-pass cache keys by identity
+#: plenty (a lineup has one, a sweep chunk a few)
 _TRACE_LRU_CAP = 32
 _trace_lru: "OrderedDict[tuple, tuple]" = OrderedDict()
 

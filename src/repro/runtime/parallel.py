@@ -40,7 +40,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.engine import ENGINE_PROFILES, OPTIMIZED
+from repro.arch.engine import OPTIMIZED, check_engine_profile
 from repro.arch.simulator import SimulationResult, SystemSimulator
 from repro.config import ArchConfig
 from repro.runtime.backoff import backoff_delay
@@ -80,12 +80,7 @@ class RuntimeOptions:
     engine_profile: str = OPTIMIZED
 
     def __post_init__(self) -> None:
-        if self.engine_profile not in ENGINE_PROFILES:
-            valid = ", ".join(repr(p) for p in ENGINE_PROFILES)
-            raise ValueError(
-                f"unknown engine profile {self.engine_profile!r} "
-                f"(valid profiles: {valid})"
-            )
+        check_engine_profile(self.engine_profile)
 
     @property
     def effective_jobs(self) -> int:

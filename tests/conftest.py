@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.arch.engine import REFERENCE
+from repro.arch.simulator import SystemSimulator
 from repro.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.ir import AddressSpaceAllocator
 from repro.workloads.kernels import SidCounter
@@ -47,6 +49,24 @@ class FakeClock:
 @pytest.fixture
 def fake_clock() -> FakeClock:
     return FakeClock()
+
+
+def commit_ahead_simulator(cfg: ArchConfig, scheme=None) -> SystemSimulator:
+    """A reference-engine simulator on the seed's commit-ahead timelines.
+
+    Every link, L2-port and DRAM-bank timeline appends after its last
+    reservation instead of gap-filling: the over-serializing
+    approximation the reserve/commit engine retired, kept only for the
+    regression tests that pin the direction of that change.
+    """
+    sim = SystemSimulator(cfg, scheme, engine_profile=REFERENCE)
+    m = sim.machine
+    timelines = list(m.network.timelines()) + list(m.l2_ports)
+    for mc in m.mcs:
+        timelines.extend(mc.timelines())
+    for tl in timelines:
+        tl.gap_fill = False
+    return sim
 
 
 @pytest.fixture(autouse=True)

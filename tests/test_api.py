@@ -192,7 +192,7 @@ class TestCharacterize:
     def test_profile_knob_does_not_change_class(self):
         a = api.characterize(
             "fft", "oracle", scale=SCALE, cache=False,
-            profile="vectorized",
+            profile="optimized",
         )
         b = api.characterize(
             "fft", "oracle", scale=SCALE, cache=False,
@@ -207,7 +207,12 @@ class TestBench:
         assert report["smoke"] is True
         for section in ("engine", "single_sim", "lineup"):
             assert section in report
-        assert "vectorized_speedup" in report["lineup"]
+        assert report["schema"] == 3
+        for tier in ("single_sim", "lineup"):
+            assert set(report[tier]) >= {
+                "optimized_s", "reference_s", "speedup"
+            }
+            assert not any("vectorized" in k for k in report[tier])
 
     def test_baseline_gate_attached(self):
         report = api.bench(smoke=True)

@@ -7,7 +7,7 @@ execution.  Two contracts are pinned here:
 1. **result identity** — ``execute_batch`` over a lineup chunk yields
    exactly what per-unit ``execute_job`` computes for each key;
 2. **amortization is real** — jobs sharing a trace signature share the
-   trace *object* (what makes the vectorized pre-pass cache hit).
+   trace *object* (generated once per chunk).
 
 Fault fallback lives in the runtime's one ladder
 (``tests/test_runtime_faults.py``), and byte-identity across campaign

@@ -1,26 +1,31 @@
-"""Differential-equivalence harness: every engine profile vs reference.
+"""Differential-equivalence harness: the default engine vs reference.
 
-The hot-path optimizations (memoized route tables, heap-backed capacity
-timelines, the stamp-free NoC transit path, fused reservation, and the
-vectorized profile's trace pre-pass + window resolution) are only
-admissible because they can never change a result.  This suite is that
-guarantee:
+The hot-path optimizations of the ``optimized`` engine (memoized route
+tables and address facts, heap-backed capacity timelines, the fused
+NoC travel loop, shared pure estimates, the run-extending replay loop
+and its interval trimming) are only admissible because they can never
+change a result.  This suite is that guarantee:
 
+* the two profiles run different code for every hot entry point, so
+  the comparisons below compare two programs;
 * the full Fig. 4 scheme lineup produces **cycle-exact identical**
-  :class:`~repro.arch.simulator.SimulationResult`s under the
-  ``optimized`` and ``vectorized`` profiles as under ``reference`` —
-  on an affine benchmark and on the sparse/mixed families;
+  :class:`~repro.arch.simulator.SimulationResult`s under ``optimized``
+  as under ``reference`` — on an affine benchmark and on the
+  sparse/mixed families — and leaves every link with the same
+  ``free_at``;
 * the golden headline geomeans are byte-identical under the reference
   profile (the regular golden test pins the optimized default);
 * hypothesis properties pin the memoized tables to their closed forms
   (``RouteTable`` == ``xy_route``, ``serialization_table`` == the
-  ceil-division formula) and ``Network.transit`` to ``traverse``;
+  ceil-division formula, ``addr_fact`` == the config's address maps)
+  and the fused ``travel_time`` to ``Network.traverse``;
 * with an :class:`~repro.arch.events.EventBus` attached, both profiles
   publish the **identical event stream** — the lazy fast path cannot
   silently drop events;
 * engine profiles are perf knobs only: they do not exist in
   :class:`~repro.runtime.keys.JobKey`, do not alter any cache digest,
-  and the cache schema remains v3.
+  and the cache schema remains v3; a retired profile name is rejected
+  at every entry point.
 """
 
 import json
@@ -29,12 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import schemes as S
-from repro.arch.engine import (
-    ENGINE_PROFILES,
-    OPTIMIZED,
-    REFERENCE,
-    VECTORIZED,
-)
+from repro.arch.engine import ENGINE_PROFILES, OPTIMIZED, REFERENCE
 from repro.arch.events import EventBus
 from repro.arch.noc import Network
 from repro.arch.routing import (
@@ -49,6 +49,8 @@ from repro.config import DEFAULT_CONFIG
 from repro.workloads import benchmark_trace
 
 SCALE = 0.1
+#: every profile the differential suite holds to the reference
+FAST_PROFILES = [p for p in ENGINE_PROFILES if p != REFERENCE]
 
 
 def _run_lineup(benchmark: str, profile: str, bus=None):
@@ -68,7 +70,7 @@ def _run_lineup(benchmark: str, profile: str, bus=None):
 # cycle-exact result equality
 # ======================================================================
 class TestLineupEquivalence:
-    @pytest.mark.parametrize("profile", [OPTIMIZED, VECTORIZED])
+    @pytest.mark.parametrize("profile", FAST_PROFILES)
     def test_fft_lineup_identical(self, profile):
         got = _run_lineup("fft", profile)
         ref = _run_lineup("fft", REFERENCE)
@@ -81,18 +83,18 @@ class TestLineupEquivalence:
     @pytest.mark.parametrize("bench_name", ["spmv.csr", "mix.fft.hash"])
     def test_families_lineup_identical(self, bench_name):
         """The sparse/mixed families stress the paths the affine lineup
-        cannot (opaque references, per-core heterogeneity): the
-        vectorized profile must stay cycle-exact on them too."""
-        vec = _run_lineup(bench_name, VECTORIZED)
+        cannot (opaque references, per-core heterogeneity): the default
+        engine must stay cycle-exact on them too."""
+        got = _run_lineup(bench_name, OPTIMIZED)
         ref = _run_lineup(bench_name, REFERENCE)
-        for label in vec:
-            assert vec[label] == ref[label], (
-                f"vectorized divergence on {bench_name}/{label}"
+        for label in got:
+            assert got[label] == ref[label], (
+                f"divergence on {bench_name}/{label}"
             )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("bench_name", ["swim", "md"])
-    @pytest.mark.parametrize("profile", [OPTIMIZED, VECTORIZED])
+    @pytest.mark.parametrize("profile", FAST_PROFILES)
     def test_full_lineup_identical(self, bench_name, profile):
         got = _run_lineup(bench_name, profile)
         ref = _run_lineup(bench_name, REFERENCE)
@@ -122,6 +124,64 @@ class TestLineupEquivalence:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="engine profile"):
             SystemSimulator(DEFAULT_CONFIG, engine_profile="fast")
+
+    def test_link_free_at_matches_reference(self):
+        """The replay loop trims ended link intervals; a link whose
+        every interval has ended must still report its busy-until clock
+        (hashjoin/oracle leaves about half its links in that state)."""
+        oracle = next(e for e in S.fig4_lineup(None) if e.label == "oracle")
+        trace = benchmark_trace("hashjoin", oracle.variant, 0.2)
+        free_at = {}
+        for profile in ENGINE_PROFILES:
+            sim = SystemSimulator(
+                DEFAULT_CONFIG, oracle.build(), engine_profile=profile
+            )
+            sim.run(trace)
+            free_at[profile] = [tl.free_at for tl in sim.network.timelines()]
+        assert free_at[OPTIMIZED] == free_at[REFERENCE]
+
+
+# ======================================================================
+# two programs, one profile set
+# ======================================================================
+def test_profiles_run_different_code():
+    """Every hot entry point resolves to a different function under
+    each profile, so the equivalence tests compare two programs."""
+
+    def entry_points(profile):
+        sim = SystemSimulator(DEFAULT_CONFIG, engine_profile=profile)
+        return {
+            "run": sim.run,
+            "_exec_compute": sim._exec_compute,
+            "access": sim.access_path.access,
+            "build": sim.candidate_builder.build,
+            "travel_time": sim.machine.travel_time,
+        }
+
+    opt, ref = entry_points(OPTIMIZED), entry_points(REFERENCE)
+    for name in opt:
+        assert opt[name].__func__ is not ref[name].__func__, name
+
+
+def test_retired_vectorized_profile_rejected(capsys):
+    """``"vectorized"`` is an unknown profile like any other: the runtime
+    options, a sweep spec and the CLI flag each reject it and name the
+    valid set."""
+    from repro.campaign.spec import SweepSpec
+    from repro.cli import build_parser
+    from repro.runtime import RuntimeOptions
+
+    valid = "'optimized', 'reference'"
+    with pytest.raises(ValueError, match=valid):
+        RuntimeOptions(engine_profile="vectorized")
+    with pytest.raises(ValueError, match=valid):
+        SweepSpec.from_dict({"benchmarks": ["fft"],
+                             "engine_profiles": ["vectorized"]})
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["bench", "--engine-profile", "vectorized"]
+        )
+    assert valid in capsys.readouterr().err
 
 
 # ======================================================================
@@ -227,8 +287,29 @@ def test_serialization_table_equals_formula(payload, width):
     )
 
 
+def test_addr_fact_matches_config_closed_forms():
+    """The default machine's memoized address facts equal the config's
+    closed forms for every address a real benchmark touches."""
+    cfg = DEFAULT_CONFIG
+    machine = SystemSimulator(cfg).machine
+    trace = benchmark_trace("fft", "original", 0.08)
+    addrs = {
+        a for stream in trace for op in stream
+        for a in (op.addr, op.addr2, op.dest) if a is not None and a != -1
+    }
+    assert addrs, "a real benchmark trace touches addresses"
+    for addr in addrs:
+        home, l2_line, mc_id, mc_node, bank, row = machine.addr_fact(addr)
+        assert home == cfg.l2_home_node(addr)
+        assert l2_line == addr // cfg.l2.line_bytes
+        assert mc_id == cfg.memory_controller(addr)
+        assert mc_node == machine.mesh.mc_node(cfg.memory_controller(addr))
+        assert bank == cfg.dram_bank(addr)
+        assert row == cfg.dram_row(addr)
+
+
 # ======================================================================
-# Network.transit == Network.traverse (hypothesis)
+# fused MachineState.travel_time == Network.traverse (hypothesis)
 # ======================================================================
 @given(
     transfers=st.lists(
@@ -249,7 +330,8 @@ def test_transit_matches_traverse(transfers):
     mesh = mesh_for(cfg.noc.width, cfg.noc.height)
     table = route_table_for(mesh)
     net_a = Network(mesh, cfg.noc)
-    net_b = Network(mesh, cfg.noc)
+    machine = SystemSimulator(cfg).machine
+    net_b = machine.network
     for src, dst, start, payload, commit in transfers:
         if src == dst:
             continue
@@ -258,7 +340,7 @@ def test_transit_matches_traverse(transfers):
         got_a = net_a.traverse(
             route, start, payload, commit=commit, link_ids=link_ids
         ).completion
-        got_b = net_b.transit(link_ids, start, payload, commit=commit)
+        got_b = machine.travel_time(src, dst, start, payload, commit)
         assert got_a == got_b
     assert net_a.stats.transfers == net_b.stats.transfers
     assert net_a.stats.flit_hops == net_b.stats.flit_hops
@@ -278,9 +360,8 @@ def test_event_stream_identical_across_profiles():
         _run_lineup("fft", profile, bus=bus)
         assert bus.emitted > 0, "lineup emitted no events at all"
         streams[profile] = bus.collected()
-    assert streams[OPTIMIZED] == streams[REFERENCE]
-    assert streams[VECTORIZED] == streams[REFERENCE], (
-        "the vectorized fast paths dropped or reordered events"
+    assert streams[OPTIMIZED] == streams[REFERENCE], (
+        "the fused fast paths dropped or reordered events"
     )
     kinds = {e.kind for e in streams[OPTIMIZED]}
     # The lineup exercises the offload lifecycle, not just stalls.

@@ -31,6 +31,8 @@ from repro.arch.simulator import simulate
 from repro.config import DEFAULT_CONFIG
 from repro.isa import load, make_trace
 
+from conftest import commit_ahead_simulator
+
 
 class TestResourceTimeline:
     def test_empty_timeline_grants_immediately(self):
@@ -228,7 +230,7 @@ class TestContentionRegression:
             assert cfg.dram_bank(a) == 0
         trace = _hammer(addrs)
         rc = simulate(trace, cfg)
-        ca = simulate(trace, cfg, engine_mode="commit-ahead")
+        ca = commit_ahead_simulator(cfg).run(trace)
         assert rc.cycles < ca.cycles
 
     def test_one_l2_bank(self):
@@ -242,7 +244,7 @@ class TestContentionRegression:
             assert cfg.l2_home_node(a) == 0
         trace = _hammer(addrs)
         rc = simulate(trace, cfg)
-        ca = simulate(trace, cfg, engine_mode="commit-ahead")
+        ca = commit_ahead_simulator(cfg).run(trace)
         assert rc.cycles < ca.cycles
 
     def test_modes_agree_when_uncontended(self):
@@ -252,5 +254,5 @@ class TestContentionRegression:
             [[load(i, i * 0x1340) for i in range(16)]]
         )
         rc = simulate(trace, cfg)
-        ca = simulate(trace, cfg, engine_mode="commit-ahead")
+        ca = commit_ahead_simulator(cfg).run(trace)
         assert rc.cycles == ca.cycles

@@ -23,8 +23,8 @@ class TestBasicOps:
         assert res.stats.l1_misses == 1
 
     def test_miss_costs_more_than_hit(self, sim):
-        p1 = sim._access(0, 0x4000, 0, commit=True)
-        p2 = sim._access(0, 0x4000, p1.completion, commit=True)
+        p1 = sim.access_path.access(0, 0x4000, 0, commit=True)
+        p2 = sim.access_path.access(0, 0x4000, p1.completion, commit=True)
         first = p1.completion
         second = p2.completion - p1.completion
         assert first > second
@@ -32,9 +32,9 @@ class TestBasicOps:
 
     def test_l2_hit_cheaper_than_memory(self, sim, cfg):
         addr = 0x8000
-        p_cold = sim._access(0, addr, 0, commit=True)         # memory fetch
+        p_cold = sim.access_path.access(0, addr, 0, commit=True)         # memory fetch
         sim.l1[0].invalidate(addr)                            # drop L1 copy
-        p_l2 = sim._access(0, addr, p_cold.completion, commit=True)
+        p_l2 = sim.access_path.access(0, addr, p_cold.completion, commit=True)
         assert not p_cold.l2_hit
         assert p_l2.l2_hit
         cold_cost = p_cold.completion
@@ -43,17 +43,17 @@ class TestBasicOps:
 
     def test_estimate_matches_commit_when_uncontended(self, sim):
         addr = 0xC000
-        est = sim._access(0, addr, 0, commit=False)
-        real = sim._access(0, addr, 0, commit=True)
+        est = sim.access_path.access(0, addr, 0, commit=False)
+        real = sim.access_path.access(0, addr, 0, commit=True)
         assert est.completion == real.completion
 
     def test_estimate_does_not_mutate(self, sim):
-        sim._access(0, 0x5000, 0, commit=False)
+        sim.access_path.access(0, 0x5000, 0, commit=False)
         assert sim.stats.l1_misses == 0
         assert not sim.l1[0].probe(0x5000)
 
     def test_no_allocate_skips_l1_fill(self, sim):
-        sim._access(0, 0x6000, 0, commit=True, allocate_l1=False)
+        sim.access_path.access(0, 0x6000, 0, commit=True, allocate_l1=False)
         assert not sim.l1[0].probe(0x6000)
 
 
@@ -63,34 +63,34 @@ class TestStoresAndCoherence:
         assert res.cycles == cfg.l1.access_latency
 
     def test_store_dirties_line_until_writeback(self, sim, cfg):
-        sim._store(0, 0x2000, 0)
+        sim.access_path.store(0, 0x2000, 0)
         l2_line = 0x2000 // cfg.l2.line_bytes
-        owner, t_wb = sim._dirty[l2_line]
+        owner, t_wb = sim.machine.dirty[l2_line]
         assert owner == 0
         assert t_wb >= cfg.writeback_lag_base
 
     def test_remote_read_of_dirty_line_snoops(self, sim):
-        sim._store(0, 0x2000, 0)
+        sim.access_path.store(0, 0x2000, 0)
         # Core 5 reads before the writeback lands: 3-hop snoop, counted
         # as an L2 (coherence) miss.
-        plan = sim._access(5, 0x2000, 10, commit=True)
+        plan = sim.access_path.access(5, 0x2000, 10, commit=True)
         assert not plan.l1_hit
         assert sim.stats.l2_misses >= 1
 
     def test_own_dirty_line_is_l1_hit(self, sim):
-        sim._store(0, 0x2000, 0)
-        plan = sim._access(0, 0x2000, 5, commit=True)
+        sim.access_path.store(0, 0x2000, 0)
+        plan = sim.access_path.access(0, 0x2000, 5, commit=True)
         assert plan.l1_hit
 
     def test_read_after_writeback_hits_home_l2(self, sim, cfg):
-        sim._store(0, 0x2000, 0)
-        _, t_wb = sim._dirty[0x2000 // cfg.l2.line_bytes]
-        plan = sim._access(5, 0x2000, t_wb + 100, commit=True)
+        sim.access_path.store(0, 0x2000, 0)
+        _, t_wb = sim.machine.dirty[0x2000 // cfg.l2.line_bytes]
+        plan = sim.access_path.access(5, 0x2000, t_wb + 100, commit=True)
         assert plan.l2_hit
 
     def test_writeback_lag_deterministic(self, sim):
-        assert sim._writeback_lag(123) == sim._writeback_lag(123)
-        lags = {sim._writeback_lag(i) for i in range(50)}
+        assert sim.machine.writeback_lag(123) == sim.machine.writeback_lag(123)
+        lags = {sim.machine.writeback_lag(i) for i in range(50)}
         assert len(lags) > 10  # spread exists
 
 

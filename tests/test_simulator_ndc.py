@@ -7,6 +7,8 @@ from repro.arch.stats import NEVER
 from repro.config import NdcComponentMask, NdcLocation, OpClass
 from repro.isa import compute, load, make_trace, pre_compute
 
+from conftest import commit_ahead_simulator
+
 
 def same_bank_pair(cfg):
     """Two addresses in the same DRAM bank (and row) but different L2
@@ -23,7 +25,7 @@ class TestCandidates:
     def test_trial_order(self, cfg):
         sim = SystemSimulator(cfg)
         op = compute(1, *same_bank_pair(cfg))
-        cands = sim._candidates(5, op, 0)
+        cands = sim.candidate_builder.build(5, op, 0)
         locs = [c.location for c in cands]
         assert locs.index(NdcLocation.CACHE) < locs.index(NdcLocation.MEMCTRL)
         assert locs.index(NdcLocation.MEMCTRL) < locs.index(NdcLocation.MEMORY)
@@ -31,7 +33,7 @@ class TestCandidates:
     def test_memory_candidates_for_uncached_pair(self, cfg):
         sim = SystemSimulator(cfg)
         op = compute(1, *same_bank_pair(cfg))
-        by_loc = {c.location: c for c in sim._candidates(5, op, 0)}
+        by_loc = {c.location: c for c in sim.candidate_builder.build(5, op, 0)}
         mc = by_loc[NdcLocation.MEMCTRL]
         mem = by_loc[NdcLocation.MEMORY]
         assert mc.ready < NEVER and mem.ready < NEVER
@@ -42,7 +44,7 @@ class TestCandidates:
         sim = SystemSimulator(cfg)
         a, b = same_bank_pair(cfg)
         op = compute(1, a, b)
-        by_loc = {c.location: c for c in sim._candidates(5, op, 0)}
+        by_loc = {c.location: c for c in sim.candidate_builder.build(5, op, 0)}
         assert by_loc[NdcLocation.CACHE].avail_x >= NEVER
 
     def test_cache_candidate_when_co_resident(self, cfg):
@@ -52,7 +54,7 @@ class TestCandidates:
         sim.l2[cfg.l2_home_node(a)].fill(a)
         sim.l2[cfg.l2_home_node(b)].fill(b)
         op = compute(1, a, b)
-        by_loc = {c.location: c for c in sim._candidates(5, op, 0)}
+        by_loc = {c.location: c for c in sim.candidate_builder.build(5, op, 0)}
         cache = by_loc[NdcLocation.CACHE]
         assert cache.ready < NEVER
         assert cache.node == cfg.l2_home_node(a)
@@ -62,7 +64,8 @@ class TestCandidates:
         a = 1 << 20
         b = a + 4096  # next page: different controller
         assert cfg.memory_controller(a) != cfg.memory_controller(b)
-        by_loc = {c.location: c for c in sim._candidates(5, compute(1, a, b), 0)}
+        cands = sim.candidate_builder.build(5, compute(1, a, b), 0)
+        by_loc = {c.location: c for c in cands}
         assert by_loc[NdcLocation.MEMCTRL].avail_y >= NEVER
         assert by_loc[NdcLocation.MEMORY].avail_y >= NEVER
 
@@ -198,7 +201,7 @@ class TestServiceTablePressure:
         assert res.stats.ndc.aborted_table_full > 0  # capacity really binds
         assert res.stats.ndc.total_performed == 0
         mc_units = [
-            u for (loc, key), u in sim._ndc_units.items()
+            u for (loc, key), u in sim.machine.ndc_units.items()
             if loc == NdcLocation.MEMCTRL
         ]
         assert sum(u.stats.timed_out for u in mc_units) >= 1
@@ -208,11 +211,11 @@ class TestServiceTablePressure:
         """The seed's commit-ahead approximation staggered the parks in
         time (each op committed its wait into the future before the next
         core ran), so every package found a drained table and timed out
-        individually.  ``engine_mode="commit-ahead"`` preserves that
-        behaviour for regression comparisons."""
+        individually.  The test-only commit-ahead timelines preserve
+        that behaviour for regression comparisons."""
         tight = cfg.with_ndc(service_table_entries=2)
         tr = self._pressure_trace(tight)
-        sim = SystemSimulator(tight, S.WaitForever(), engine_mode="commit-ahead")
+        sim = commit_ahead_simulator(tight, S.WaitForever())
         res = sim.run(tr)
         assert res.stats.ndc.aborted_timeout == 12
         assert res.stats.ndc.total_performed == 0
