@@ -96,7 +96,7 @@ def main() -> None:
     #        api.bench(smoke=True)                   # simulator perf
     #    Every verb takes the same perf knob (never affects results):
     #        profile="optimized" | "reference"
-    #    (backend= is still accepted, but deprecated and ignored.)
+    #    and the CLI subcommands are thin shells over these verbs.
     from repro import api
 
     res = api.simulate("fft", "algorithm-1", scale=0.1, cache=False)

@@ -118,30 +118,16 @@ def quick_compare(
     """Compile + simulate one benchmark under the headline schemes.
 
     Returns a small text table of improvement percentages — the
-    friendliest way to see the system end to end.  ``tunables``
-    defaults to the shipped per-scale calibration (see
-    :mod:`repro.tuning`) when one exists.
+    friendliest way to see the system end to end, and exactly what
+    ``repro compare`` prints.  ``tunables`` defaults to the shipped
+    per-scale calibration (see :mod:`repro.tuning`) when one exists.
     """
-    from repro.analysis.report import format_table
-    from repro.schemes import build_scheme
-    from repro.tuning import calibrated_tunables
+    from repro import api
+    from repro.analysis.experiments import compare_table
+    from repro.schemes import COMPARE_LINEUP
 
-    if tunables is None:
-        tunables = calibrated_tunables(scale)
-    base = simulate(benchmark_trace(benchmark, "original", scale),
-                    DEFAULT_CONFIG).cycles
-    rows = []
-    for label in ("wait-forever", "oracle", "algorithm-1", "algorithm-2"):
-        entry = build_scheme(label, tunables)
-        cycles = simulate(
-            benchmark_trace(
-                benchmark, entry.variant, scale,
-                tunables=None if entry.variant == "original" else tunables,
-            ),
-            DEFAULT_CONFIG, entry.build(),
-        ).cycles
-        rows.append([label, improvement_percent(base, cycles)])
-    return format_table(
-        ["scheme", "improvement %"], rows,
-        title=f"{benchmark} @ scale {scale} (baseline {base} cycles)",
+    result = api.lineup(
+        scale, [benchmark], schemes=COMPARE_LINEUP, tunables=tunables,
+        cache=False,
     )
+    return compare_table(result, benchmark, scale)

@@ -88,6 +88,7 @@ class ExperimentRunner:
         lineup: Optional[Sequence[str]] = None,
     ):
         from repro.runtime import ParallelRunner, RuntimeOptions, config_digest
+        from repro.tuning import resolve_tunables
 
         self.cfg = cfg
         self.scale = scale
@@ -108,18 +109,9 @@ class ExperimentRunner:
             if engine is not None
             else ParallelRunner(cfg, self.runtime, stats=stats)
         )
-        if tunables is None:
-            # Ship-time calibration: the tuner's per-scale winners (see
-            # repro.tuning) apply by default; scales without an entry
-            # fall back to the historical hand calibration.
-            from repro.tuning import calibrated_tunables
-
-            tunables = calibrated_tunables(scale)
-        if tunables is not None and tunables.is_default:
-            # Normalize explicit defaults to None so job keys (and the
-            # persistent cache) cannot fork on a no-op calibration.
-            tunables = None
-        self.tunables = tunables
+        # Ship-time calibration by default: the tuner's per-scale
+        # winners (see repro.tuning), explicit defaults normalized away.
+        self.tunables = resolve_tunables(tunables, scale)
         self._cfg_digest = config_digest(cfg)
         self._reports: Dict[tuple, object] = {}
 
@@ -133,14 +125,6 @@ class ExperimentRunner:
         return self.runtime.parallel
 
     # ------------------------------------------------------------------
-    def _trace_tunables(self, variant: str) -> Optional["Tunables"]:
-        """The compile-time tunables for a variant's trace generation.
-
-        ``None`` for the ``"original"`` variant (no pass runs), so
-        baselines are shared across tuning candidates.
-        """
-        return None if variant == "original" else self.tunables
-
     def _make_scheme(
         self, factory: Optional[Callable[[], S.NdcScheme]]
     ) -> Optional[S.NdcScheme]:
@@ -160,7 +144,7 @@ class ExperimentRunner:
     def trace(self, bench: str, variant: str = "original", **opts) -> Trace:
         t, report = compiled_trace(
             bench, variant, self.scale, self.cfg,
-            tunables=self._trace_tunables(variant), **opts
+            tunables=self.tunables, **opts
         )
         self._reports[(bench, variant, tuple(sorted(opts.items())))] = report
         return t
@@ -183,21 +167,15 @@ class ExperimentRunner:
         **trace_opts,
     ) -> "JobKey":
         """The canonical job identity for one ``run()`` call."""
-        from repro.runtime import JobKey
+        from repro.runtime import job_key
 
-        scheme = self._make_scheme(scheme_factory)
-        return JobKey(
-            bench=bench,
-            variant=variant,
-            scheme_spec=scheme.spec() if scheme is not None else None,
-            label=label or (scheme.name if scheme is not None else "original"),
+        return job_key(
+            bench, self._make_scheme(scheme_factory), variant,
+            scale=self.scale, config_digest=self._cfg_digest,
+            tunables=self.tunables, label=label, trace_opts=trace_opts,
             profile_windows=profile_windows,
             collect_window_series=collect_window_series,
             collect_pc_stats=collect_pc_stats,
-            trace_opts=tuple(sorted(trace_opts.items())),
-            scale=self.scale,
-            config_digest=self._cfg_digest,
-            tunables=self._trace_tunables(variant),
         )
 
     def run(
@@ -378,24 +356,24 @@ def fig3_breakeven_vs_window(
 # Fig. 4 — the scheme lineup
 # ======================================================================
 
-#: (bar label, scheme factory, trace variant) for every Fig. 4 bar,
-#: under the default tunables.  Runners with their own calibration use
-#: :meth:`ExperimentRunner.fig4_entries` instead.
-FIG4_SCHEMES: Tuple[Tuple[str, Callable[[], S.NdcScheme], str], ...] = tuple(
-    (e.label, e.factory, e.variant) for e in S.fig4_lineup()
-)
-
-
 def fig4_scheme_benefits(
     runner: Optional[ExperimentRunner] = None,
 ) -> ExperimentResult:
-    """Fig. 4: performance benefit of every NDC scheme per benchmark."""
+    """Fig. 4: performance benefit of every NDC scheme per benchmark.
+
+    ``data`` holds ``per_benchmark`` improvements, their ``geomean`` and
+    the ``baseline`` cycles each improvement is measured against.
+    """
     runner = runner or ExperimentRunner()
     entries = runner.fig4_entries()
     per_bench: Dict[str, Dict[str, float]] = {}
+    baseline: Dict[str, int] = {}
     for bench in runner.benchmarks:
+        base = baseline[bench] = runner.baseline_cycles(bench)
         per_bench[bench] = {
-            label: runner.improvement(bench, factory, variant)
+            label: improvement_percent(
+                base, runner.run(bench, factory, variant).cycles
+            )
             for label, factory, variant in entries
         }
     labels = [l for l, _, _ in entries]
@@ -410,7 +388,21 @@ def fig4_scheme_benefits(
         title="Fig. 4: performance improvement over the original execution (%)",
     )
     return ExperimentResult(
-        "fig4", {"per_benchmark": per_bench, "geomean": summary}, text
+        "fig4",
+        {"per_benchmark": per_bench, "geomean": summary,
+         "baseline": baseline},
+        text,
+    )
+
+
+def compare_table(fig4: ExperimentResult, bench: str, scale: float) -> str:
+    """One benchmark's column of a lineup result as a small table:
+    ``repro compare`` and :func:`repro.quick_compare`."""
+    rows = [list(item) for item in fig4.data["per_benchmark"][bench].items()]
+    return format_table(
+        ["scheme", "improvement %"], rows,
+        title=f"{bench} @ scale {scale:g} "
+              f"(baseline {fig4.data['baseline'][bench]} cycles)",
     )
 
 
@@ -897,32 +889,38 @@ def fidelity_summary(
 
 
 def run_all(
-    runner: Optional[ExperimentRunner] = None, verbose: bool = True
+    runner: Optional[ExperimentRunner] = None,
+    verbose: bool = True,
+    only: Sequence[str] = (),
 ) -> List[ExperimentResult]:
     """Regenerate every table/figure; returns results in paper order,
-    closing with the fidelity checklist."""
+    closing with the fidelity checklist.
+
+    ``only`` keeps the drivers whose function name contains one of its
+    substrings (``["fig4", "table2"]``); ``verbose`` prints each result
+    as it lands.
+    """
     runner = runner or ExperimentRunner()
-    # Fan the whole job matrix out over the pool first (no-op when the
-    # runtime is serial); the drivers below then hit the warm caches.
-    runner.prefetch_standard()
-    out: List[ExperimentResult] = []
-    for fn in ALL_EXPERIMENTS:
+    if not only:
+        # Fan the whole job matrix out over the pool first (no-op when
+        # the runtime is serial); the drivers below then hit the warm
+        # caches.
+        runner.prefetch_standard()
+    out: Dict[str, ExperimentResult] = {}
+    for fn in ALL_EXPERIMENTS + (fidelity_summary,):
+        if only and not any(w in fn.__name__ for w in only):
+            continue
         if fn is table1_configuration:
             res = fn(runner.cfg)
+        elif fn is fidelity_summary:
+            res = fn(runner, fig4=out.get("fig4"), table2=out.get("table2"))
         else:
             res = fn(runner)
-        out.append(res)
+        out[res.name] = res
         if verbose:
             print(res.render())
             print()
-    by_name = {r.name: r for r in out}
-    summary = fidelity_summary(
-        runner, fig4=by_name.get("fig4"), table2=by_name.get("table2")
-    )
-    out.append(summary)
-    if verbose:
-        print(summary.render())
-    return out
+    return list(out.values())
 
 
 if __name__ == "__main__":  # pragma: no cover - manual entry point

@@ -2,7 +2,7 @@
 
 Seven verbs cover everything external callers do, wrapping the
 internal entrypoints (:class:`~repro.analysis.experiments.\
-ExperimentRunner`, ``run_all``, :func:`repro.schemes.fig4_lineup`,
+ExperimentRunner`, ``run_all``, :func:`repro.schemes.build_lineup`,
 :class:`repro.tuning.Tuner`, :class:`repro.campaign.CampaignRunner`,
 :mod:`repro.bench.microbench`, :mod:`repro.analysis.characterize`)
 behind one small, import-light surface::
@@ -17,11 +17,16 @@ behind one small, import-light surface::
     api.characterize("spmv.csr")       # DAMOV-style bottleneck class
     api.bench(smoke=True)              # benchmark the simulator itself
 
-Stability contract: these signatures only *grow* (keyword-only
-additions); the internals they wrap may move freely.  The old
-``repro.analysis`` driver re-exports are gone (their deprecation shims
-served out their window) — import from
-:mod:`repro.analysis.experiments` directly if you need the internals.
+The facade is the one front door: each simulating ``repro`` CLI
+subcommand parses its flags, calls one of these verbs and prints the
+result, and :func:`repro.quick_compare` is :func:`lineup` plus a table.
+
+Stability contract: these signatures grow by keyword-only additions;
+the internals they wrap may move freely.  A keyword or alias is removed
+only after one release of deprecation warnings, as the retired executor
+keyword and the old ``repro.analysis`` driver re-exports were — import
+from :mod:`repro.analysis.experiments` directly if you need the
+internals.
 
 Every verb accepts the same runtime-control keywords: ``options`` (a
 :class:`~repro.runtime.RuntimeOptions`) for full control — jobs,
@@ -33,11 +38,6 @@ and neither ever forks the runtime's
 :class:`~repro.runtime.keys.JobKey` cache keys — a result computed
 through the facade is a warm cache hit for the CLI, a campaign, or the
 tuner, and vice versa.
-
-``backend=`` is still accepted by every verb, because these signatures
-only grow, but it is a deprecated no-op: the runtime has one executor
-path, so passing it only emits one :class:`DeprecationWarning` per
-call.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -100,21 +99,12 @@ def _options(
     options: Optional["RuntimeOptions"],
     profile: Optional[str],
     cache: bool,
-    backend: Optional[str] = None,
 ) -> "RuntimeOptions":
     """Resolve the shared runtime-control keywords."""
     import dataclasses
 
     from repro.runtime import RuntimeOptions, default_cache_dir
 
-    if backend is not None:
-        import warnings
-
-        warnings.warn(
-            "backend= is deprecated and ignored: the runtime has one "
-            "executor path",
-            DeprecationWarning, stacklevel=3,
-        )
     if options is None:
         options = RuntimeOptions(
             cache_dir=str(default_cache_dir()) if cache else None
@@ -131,7 +121,6 @@ def simulate(
     scale: float = 0.25,
     tunables: Optional["Tunables"] = None,
     profile: Optional[str] = None,
-    backend: Optional[str] = None,
     cfg: Optional["ArchConfig"] = None,
     options: Optional["RuntimeOptions"] = None,
     cache: bool = True,
@@ -151,7 +140,7 @@ def simulate(
 
     runner = ExperimentRunner(
         cfg=cfg or DEFAULT_CONFIG, scale=scale, tunables=tunables,
-        runtime=_options(options, profile, cache, backend), stats=stats,
+        runtime=_options(options, profile, cache), stats=stats,
     )
     try:
         if scheme is None:
@@ -170,7 +159,6 @@ def lineup(
     schemes: Union[None, str, Sequence[str]] = None,
     tunables: Optional["Tunables"] = None,
     profile: Optional[str] = None,
-    backend: Optional[str] = None,
     cfg: Optional["ArchConfig"] = None,
     options: Optional["RuntimeOptions"] = None,
     cache: bool = True,
@@ -184,7 +172,8 @@ def lineup(
     label (:data:`repro.schemes.SCHEMES`), defaulting to the paper's
     Fig. 4 lineup.  Returns the ``fig4``
     :class:`~repro.analysis.experiments.ExperimentResult`
-    (``.data["per_benchmark"]``, ``.data["geomean"]``, ``.render()``).
+    (``.data["per_benchmark"]``, ``.data["geomean"]``,
+    ``.data["baseline"]`` cycles, ``.render()``).
     """
     from repro.analysis.experiments import (
         ExperimentRunner,
@@ -195,7 +184,7 @@ def lineup(
     runner = ExperimentRunner(
         cfg=cfg or DEFAULT_CONFIG, scale=scale, benchmarks=benchmarks,
         suite=suite, tunables=tunables, lineup=_schemes(schemes),
-        runtime=_options(options, profile, cache, backend), stats=stats,
+        runtime=_options(options, profile, cache), stats=stats,
     )
     try:
         if runner.parallel_enabled:
@@ -214,7 +203,6 @@ def evaluate(
     schemes: Union[None, str, Sequence[str]] = None,
     tunables: Optional["Tunables"] = None,
     profile: Optional[str] = None,
-    backend: Optional[str] = None,
     cfg: Optional["ArchConfig"] = None,
     options: Optional["RuntimeOptions"] = None,
     cache: bool = True,
@@ -230,34 +218,19 @@ def evaluate(
     :func:`lineup` does; ``schemes`` selects the lineup drivers' bar
     cast by registry label.
     """
-    from repro.analysis import experiments as E
+    from repro.analysis.experiments import ExperimentRunner, run_all
     from repro.config import DEFAULT_CONFIG
 
-    runner = E.ExperimentRunner(
+    runner = ExperimentRunner(
         cfg=cfg or DEFAULT_CONFIG, scale=scale, benchmarks=benchmarks,
         suite=suite, tunables=tunables, lineup=_schemes(schemes),
-        runtime=_options(options, profile, cache, backend), stats=stats,
+        runtime=_options(options, profile, cache), stats=stats,
     )
-    wanted = list(specs) if specs is not None else []
-    out: Dict[str, object] = {}
     try:
-        if not wanted:
-            runner.prefetch_standard()
-        drivers: List = list(E.ALL_EXPERIMENTS) + [E.fidelity_summary]
-        for fn in drivers:
-            if wanted and not any(w in fn.__name__ for w in wanted):
-                continue
-            res = (
-                fn(runner.cfg) if fn is E.table1_configuration
-                else fn(runner)
-            )
-            out[res.name] = res
-            if verbose:
-                print(res.render())
-                print()
+        results = run_all(runner, verbose, only=tuple(specs or ()))
     finally:
         runner.engine.close()
-    return out
+    return {res.name: res for res in results}
 
 
 def tune(
@@ -271,7 +244,6 @@ def tune(
     schemes: Union[None, str, Sequence[str]] = None,
     smoke: bool = False,
     profile: Optional[str] = None,
-    backend: Optional[str] = None,
     options: Optional["RuntimeOptions"] = None,
     cache: bool = True,
     progress=None,
@@ -282,7 +254,7 @@ def tune(
     Candidate evaluations route through the campaign runner (shared
     cache + manifest accounting).  ``schemes`` widens the evaluated
     lineup beyond the four headline bars (e.g.
-    :data:`repro.tuning.SHOOTOUT_LABELS` to calibrate ``coda``/``nmpo``
+    :data:`repro.schemes.SHOOTOUT_LINEUP` to calibrate ``coda``/``nmpo``
     alongside); scoring still reads only the paper's labels.  Returns
     the :class:`~repro.tuning.TuneResult`; persisting a winner is the
     caller's choice (:func:`repro.tuning.save_calibration`).
@@ -292,10 +264,12 @@ def tune(
     kwargs = dict(
         scale=scale, seed=seed, samples=samples, survivors=survivors,
         lineup=_schemes(schemes),
-        runtime=_options(options, profile, cache, backend),
+        runtime=_options(options, profile, cache),
         progress=progress,
     )
     if smoke:
+        # CI pipeline check: tiny grid, two benchmarks, no promotion
+        # beyond them — exercises every stage in well under two minutes.
         kwargs.update(
             grid=SMOKE_GRID, samples=min(samples, 4), survivors=1,
             cheap_benchmarks=SMOKE_BENCHMARKS,
@@ -325,7 +299,6 @@ def sweep(
     workers: int = 1,
     server: Optional[object] = None,
     profile: Optional[str] = None,
-    backend: Optional[str] = None,
     options: Optional["RuntimeOptions"] = None,
     cache: bool = True,
     **runner_kwargs,
@@ -345,7 +318,9 @@ def sweep(
     ``suites`` axis (``sweep({...}, suite="sparse")``); ``schemes``
     *replaces* the spec's ``schemes`` axis (the spec default is a
     non-empty cast, so merging would be unable to narrow it) with
-    registry labels validated here at the facade.
+    registry labels validated here at the facade.  Other keywords go
+    to the :class:`~repro.campaign.CampaignRunner` (``repro sweep
+    resume`` passes ``campaign_id=``).
 
     ``server=`` attaches this process as one *network* worker to a
     ``repro sweep serve`` host instead of running a campaign locally:
@@ -383,14 +358,14 @@ def sweep(
                 "workers= belong to the serving host"
             )
         runner = CampaignRunner(
-            spec, options=_options(options, profile, cache, backend),
+            spec, options=_options(options, profile, cache),
         )
         return runner.attach_remote(server, **runner_kwargs)
     if spec is None:
         raise TypeError("sweep() needs a spec (or server=)")
     runner = CampaignRunner(
         spec, root=root,
-        options=_options(options, profile, cache, backend),
+        options=_options(options, profile, cache),
         **runner_kwargs,
     )
     return runner.run(resume=resume, workers=workers)
@@ -404,7 +379,6 @@ def characterize(
     scale: float = 0.25,
     tunables: Optional["Tunables"] = None,
     profile: Optional[str] = None,
-    backend: Optional[str] = None,
     cfg: Optional["ArchConfig"] = None,
     options: Optional["RuntimeOptions"] = None,
     cache: bool = True,
@@ -426,7 +400,7 @@ def characterize(
     """
     from repro.analysis.characterize import characterize_result
 
-    _options(options, profile, cache, backend)  # the one backend= warning
+    _options(options, profile, cache)  # validate the knobs
     if schemes is not None:
         if scheme is not None:
             raise ValueError(
@@ -459,7 +433,6 @@ def bench(
     baseline: Union[None, str, Path, Mapping[str, object]] = None,
     max_slowdown: float = 25.0,
     profile: Optional[str] = None,
-    backend: Optional[str] = None,
     options: Optional["RuntimeOptions"] = None,
     cache: bool = True,
 ) -> Dict[str, object]:
@@ -478,16 +451,15 @@ def bench(
     tolerance.
 
     ``profile``/``options``/``cache`` are accepted for the facade's
-    uniform-keyword contract and validated (``backend`` only warns),
-    but the microbenchmarks deliberately measure **all** profiles
-    regardless: the report's value is exactly the cross-profile
-    comparison.
+    uniform-keyword contract and validated, but the microbenchmarks
+    deliberately measure **all** profiles regardless: the report's
+    value is exactly the cross-profile comparison.
     """
     import json
 
     from repro.bench.microbench import compare_to_baseline, run_bench
 
-    _options(options, profile, cache, backend)  # validate the knobs
+    _options(options, profile, cache)  # validate the knobs
     report = run_bench(
         smoke=smoke, benchmark=benchmark, scale=scale, repeats=repeats
     )

@@ -41,10 +41,6 @@ class NocStats:
     flit_hops: int = 0
     total_queue_cycles: int = 0
 
-    @property
-    def mean_queue_per_transfer(self) -> float:
-        return self.total_queue_cycles / self.transfers if self.transfers else 0.0
-
 
 @dataclass(frozen=True)
 class Traversal:

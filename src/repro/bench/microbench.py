@@ -207,18 +207,16 @@ def _lineup_tier(
     from repro.arch.engine import OPTIMIZED, REFERENCE
     from repro.config import DEFAULT_CONFIG
     from repro.runtime import batch as batch_mod
-    from repro.runtime.keys import JobKey, config_digest
+    from repro.runtime.keys import config_digest, job_key
     from repro.workloads import tracegen
 
     cfg = DEFAULT_CONFIG
     digest = config_digest(cfg)
-    keys = []
-    for e in S.fig4_lineup(None):
-        scheme = e.build()
-        keys.append(JobKey(
-            bench=benchmark, variant=e.variant, scheme_spec=scheme.spec(),
-            label=scheme.name, scale=scale, config_digest=digest,
-        ))
+    keys = [
+        job_key(benchmark, e.build(), e.variant, scale=scale,
+                config_digest=digest)
+        for e in S.build_lineup()
+    ]
 
     def chunk(profile: str) -> Callable[[], None]:
         def go() -> None:

@@ -57,15 +57,11 @@ from repro.campaign.runner import (
     CampaignResult,
     CampaignRunner,
     WorkerResult,
-    run_campaign,
 )
 from repro.campaign.spec import (
     BASELINE_LABEL,
-    DEFAULT_SCHEMES,
     SweepSpec,
     SweepUnit,
-    effective_tunables,
-    lineup_job_key,
     lineup_units,
     normalize_tunables,
 )
@@ -89,7 +85,6 @@ __all__ = [
     "ClaimQueue",
     "ClaimServer",
     "ClaimedUnit",
-    "DEFAULT_SCHEMES",
     "FaultPlan",
     "FaultyTransport",
     "HttpTransport",
@@ -111,9 +106,6 @@ __all__ = [
     "UnitState",
     "WorkerResult",
     "default_runs_root",
-    "effective_tunables",
-    "lineup_job_key",
     "lineup_units",
     "normalize_tunables",
-    "run_campaign",
 ]

@@ -56,7 +56,7 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Protocol, Set, Union,
+    Callable, Dict, Iterable, List, Optional, Protocol, Set, Tuple, Union,
 )
 
 from repro.arch.simulator import SimulationResult
@@ -86,6 +86,11 @@ TOKEN_CACHE_SIZE = 4096
 #: Refuse uploaded result blobs above this (a pickled SimulationResult
 #: is a few KB; anything near this bound is a client bug).
 MAX_BLOB_BYTES = 64 * 1024 * 1024
+
+#: Seconds a worker must stay quiet after it was answered ``active ==
+#: 0`` before the server counts it gone: that reply may have been torn,
+#: and the worker's retry must still find the listener open.
+RELEASE_GRACE = 1.0
 
 
 class RemoteUnavailable(QueueError):
@@ -188,6 +193,9 @@ class ClaimServer:
         self._session = self.manifest.start_session(resume=True)
         self._lock = threading.RLock()
         self._queues: Dict[str, ClaimQueue] = {}
+        #: per claiming worker: (last lease it claimed with, when it
+        #: last spoke, whether that was the drain's final ``counts``)
+        self._claimants: Dict[str, Tuple[float, float, bool]] = {}
         self._replies: "OrderedDict[str, dict]" = OrderedDict()
         self._token_cache_size = max(1, int(token_cache_size))
         self._methods: Dict[str, Callable[[str, dict], object]] = {
@@ -250,12 +258,14 @@ class ClaimServer:
                 raise RemoteProtocolError("request carries no worker id")
             with self._lock:
                 if token is not None and token in self._replies:
-                    return dict(self._replies[token])
-                reply = {"ok": True, "result": handler(worker, params)}
-                if token is not None:
-                    self._replies[token] = reply
-                    while len(self._replies) > self._token_cache_size:
-                        self._replies.popitem(last=False)
+                    reply = dict(self._replies[token])
+                else:
+                    reply = {"ok": True, "result": handler(worker, params)}
+                    if token is not None:
+                        self._replies[token] = reply
+                        while len(self._replies) > self._token_cache_size:
+                            self._replies.popitem(last=False)
+                self._track(worker, method, params, reply["result"])
                 return reply
         except RemoteProtocolError as exc:
             return {"ok": False, "kind": "protocol", "error": str(exc)}
@@ -266,6 +276,19 @@ class ClaimServer:
                 "ok": False, "kind": "internal",
                 "error": f"{type(exc).__name__}: {exc}",
             }
+
+    def _track(self, worker: str, method: str, params: dict,
+               result) -> None:
+        """Note when a claiming worker last spoke, and whether it was
+        just answered the drain's final ``counts`` (``active == 0``)."""
+        if method == "claim":
+            lease = float(params["lease"])
+        elif worker in self._claimants:
+            lease = self._claimants[worker][0]
+        else:
+            return
+        released = method == "counts" and QueueCounts(**result).active == 0
+        self._claimants[worker] = (lease, self.clock(), released)
 
     # -- RPC methods ---------------------------------------------------
     def _rpc_hello(self, worker: str, params: dict) -> dict:
@@ -391,6 +414,24 @@ class ClaimServer:
         """Every unit terminal (done or failed), nothing in flight."""
         c = self.counts()
         return c.active == 0 and c.done + c.failed >= len(self._unit_ids)
+
+    def ready_to_close(self) -> bool:
+        """Whether closing the listener strands no worker.
+
+        Finalizing may happen the moment :meth:`is_complete` holds, but
+        each worker that claimed still ends its drain with a ``claim``
+        and a ``counts``; a closed port would make those fail.  Ready
+        once every claiming worker has been answered ``active == 0``
+        (and stayed quiet :data:`RELEASE_GRACE` seconds) or been silent
+        longer than the lease it last claimed with (killed or lost).
+        """
+        with self._lock:
+            now = self.clock()
+            return all(
+                now - seen > (min(lease, RELEASE_GRACE) if released
+                              else lease)
+                for lease, seen, released in self._claimants.values()
+            )
 
     def finalize(self) -> bool:
         """Materialize summary/report once every unit is terminal.

@@ -874,16 +874,3 @@ def _worker_process(
     )
     runner.attach_worker(lease=lease, poll=poll)
 
-
-def run_campaign(
-    spec: SweepSpec,
-    *,
-    root: Union[None, str, Path] = None,
-    options: Optional[RuntimeOptions] = None,
-    resume: bool = False,
-    workers: int = 1,
-    **kwargs,
-) -> CampaignResult:
-    """One-call convenience wrapper (the facade's ``sweep``)."""
-    runner = CampaignRunner(spec, root=root, options=options, **kwargs)
-    return runner.run(resume=resume, workers=workers)

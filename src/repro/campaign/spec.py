@@ -5,10 +5,11 @@ benchmarks (explicit names and/or workload families) x schemes x
 workload scales x mesh sizes x engine profiles x tunables overrides —
 and :meth:`SweepSpec.expand` turns it into a flat,
 deterministic list of :class:`SweepUnit` work units.  Every unit knows
-how to derive its canonical :class:`~repro.runtime.keys.JobKey`, and it
-derives it **exactly** the way
-:class:`~repro.analysis.experiments.ExperimentRunner` does — the
-campaign layer adds identity (``unit_id``) and bookkeeping *around* the
+how to derive its canonical :class:`~repro.runtime.keys.JobKey`, through
+the same builder (:func:`~repro.runtime.keys.job_key`) and tunables
+resolver (:func:`~repro.tuning.resolve_tunables`) as
+:class:`~repro.analysis.experiments.ExperimentRunner` — the campaign
+layer adds identity (``unit_id``) and bookkeeping *around* the
 runtime's cache keys, never a parallel keying scheme, so a sweep and an
 interactive driver always share cache entries
 (``tests/test_campaign.py`` pins the digests as equal).
@@ -29,6 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.arch.engine import OPTIMIZED, check_engine_profile
 from repro.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.tunables import Tunables
+from repro.schemes import HEADLINE_LINEUP, build_scheme
 from repro.workloads.suite import (
     ALL_BENCHMARK_NAMES,
     FAMILY_NAMES,
@@ -40,11 +42,6 @@ from repro.workloads.suite import (
 #: per-scale calibration, if any" (exactly what every driver defaults
 #: to); ``()`` means "explicitly the default Tunables".
 TunablesDiff = Optional[Tuple[Tuple[str, object], ...]]
-
-#: The headline Fig. 4 bars — the default scheme axis of a sweep.
-DEFAULT_SCHEMES: Tuple[str, ...] = (
-    "default", "oracle", "algorithm-1", "algorithm-2",
-)
 
 #: The baseline bar label (implicit in every sweep: improvements are
 #: measured against it, so expansion always includes it per benchmark).
@@ -61,60 +58,6 @@ def normalize_tunables(
         return tuple(sorted(tunables.diff().items()))
     # A mapping of field -> value: validate via the Tunables ctor.
     return tuple(sorted(Tunables().replace(**dict(tunables)).diff().items()))
-
-
-def effective_tunables(
-    diff: TunablesDiff, scale: float
-) -> Optional[Tunables]:
-    """Resolve a unit's tunables the way ``ExperimentRunner`` does.
-
-    ``None`` -> the shipped per-scale calibration (or None); explicit
-    values that equal the defaults normalize to ``None`` so job keys
-    (and the persistent cache) cannot fork on a no-op calibration.
-    """
-    if diff is None:
-        from repro.tuning import calibrated_tunables
-
-        t = calibrated_tunables(scale)
-    else:
-        t = Tunables().replace(**dict(diff))
-    if t is not None and t.is_default:
-        t = None
-    return t
-
-
-def lineup_job_key(
-    bench: str,
-    label: str,
-    scale: float,
-    cfg: ArchConfig,
-    tunables: Optional[Tunables] = None,
-):
-    """The canonical :class:`JobKey` for one lineup bar on one benchmark.
-
-    ``tunables`` is the *effective* record (already calibrated-resolved
-    and default-normalized — see :func:`effective_tunables`).  This must
-    stay digest-identical to ``ExperimentRunner.job_key`` for the same
-    parameters; the campaign layer never forks cache keys.
-    """
-    from repro.runtime import JobKey, config_digest
-    from repro.schemes import build_scheme
-
-    if label == BASELINE_LABEL:
-        return JobKey(
-            bench=bench, scale=scale, config_digest=config_digest(cfg)
-        )
-    entry = build_scheme(label, tunables)
-    scheme = entry.build()
-    return JobKey(
-        bench=bench,
-        variant=entry.variant,
-        scheme_spec=scheme.spec(),
-        label=scheme.name,
-        scale=scale,
-        config_digest=config_digest(cfg),
-        tunables=None if entry.variant == BASELINE_LABEL else tunables,
-    )
 
 
 @dataclass(frozen=True)
@@ -159,13 +102,22 @@ class SweepUnit:
             return base
         return base.with_mesh(*self.mesh)
 
-    def resolved_tunables(self) -> Optional[Tunables]:
-        return effective_tunables(self.tunables, self.scale)
-
     def job_key(self, base: ArchConfig = DEFAULT_CONFIG):
-        return lineup_job_key(
-            self.bench, self.label, self.scale, self.config(base),
-            self.resolved_tunables(),
+        from repro.runtime import config_digest, job_key
+        from repro.tuning import resolve_tunables
+
+        digest = config_digest(self.config(base))
+        if self.label == BASELINE_LABEL:
+            return job_key(self.bench, scale=self.scale, config_digest=digest)
+        tunables = resolve_tunables(
+            None if self.tunables is None
+            else Tunables().replace(**dict(self.tunables)),
+            self.scale,
+        )
+        entry = build_scheme(self.label, tunables)
+        return job_key(
+            self.bench, entry.build(), entry.variant, scale=self.scale,
+            config_digest=digest, tunables=tunables,
         )
 
     def describe(self) -> str:
@@ -231,15 +183,13 @@ class SweepSpec:
     #: ``benchmarks=()`` with a non-empty ``suites`` sweeps families
     #: alone.  See :data:`repro.workloads.suite.FAMILIES`.
     suites: Tuple[str, ...] = ()
-    schemes: Tuple[str, ...] = DEFAULT_SCHEMES
+    schemes: Tuple[str, ...] = HEADLINE_LINEUP
     scales: Tuple[float, ...] = (0.25,)
     meshes: Tuple[Optional[Tuple[int, int]], ...] = (None,)
     engine_profiles: Tuple[str, ...] = (OPTIMIZED,)
     tunables: Tuple[TunablesDiff, ...] = (None,)
 
     def __post_init__(self):
-        from repro.schemes import build_scheme
-
         bad = [b for b in self.benchmarks if b not in ALL_BENCHMARK_NAMES]
         if bad:
             raise ValueError(f"unknown benchmark(s): {', '.join(bad)}")

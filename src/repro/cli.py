@@ -14,6 +14,12 @@ Commands
 ``inspect``      show a benchmark's structure and pass decisions
 ``config``       print the Table 1 machine description
 
+Each simulating subcommand (``compare``/``bench``/``experiments``/
+``tune``/``sweep run|resume``) is a thin shell over one
+:mod:`repro.api` verb: it parses its flags, calls the verb and prints
+the result, so the CLI and a script can never compute different
+things.
+
 Every simulating subcommand shares one runtime-flag surface
 (:data:`RUNTIME_FLAGS`, attached via a single argparse *parent*
 parser), so ``--jobs/--cache-dir/--no-cache/--stats/--timeout/
@@ -183,39 +189,20 @@ def schemes_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _resolve_schemes(args: argparse.Namespace):
-    """The ``--schemes`` labels as a tuple, or None (command default)."""
-    schemes = getattr(args, "schemes", None)
-    return tuple(schemes) if schemes else None
-
-
-def _resolve_selection(args: argparse.Namespace):
-    """Benchmark names from ``--suite`` and/or explicit names, or None
-    (driver default) when neither was given."""
-    from repro.workloads.suite import resolve_benchmarks
-
-    benchmarks = getattr(args, "benchmarks", None)
-    suite = getattr(args, "suite", None)
-    if benchmarks or suite:
-        return resolve_benchmarks(benchmarks or None, suite or None)
-    return None
-
-
 def _load_tunables(args: argparse.Namespace):
     """The explicit --tunables file, or None (per-scale default)."""
     path = getattr(args, "tunables_file", None)
     if not path:
         return None
-    import json
-
     from repro.core.tunables import Tunables
 
     with open(path) as fh:
         return Tunables.from_dict(json.load(fh))
 
 
-def _print_stats(runner) -> None:
-    print(runner.stats.render(), file=sys.stderr)
+def _print_stats(args: argparse.Namespace, stats) -> None:
+    if args.stats:
+        print(stats.render(), file=sys.stderr)
 
 
 def _cmd_config(args: argparse.Namespace) -> int:
@@ -227,35 +214,29 @@ def _cmd_config(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import ExperimentRunner
-    from repro.analysis.report import format_table
-    from repro.schemes import build_scheme
+def _lineup(args: argparse.Namespace, benchmarks, schemes):
+    """``api.lineup`` under the shared runtime flags."""
+    from repro import api
+    from repro.runtime import RunnerStats
 
-    runner = ExperimentRunner(
-        scale=args.scale, runtime=_runtime_options(args),
-        tunables=_load_tunables(args),
+    stats = RunnerStats()
+    result = api.lineup(
+        args.scale, benchmarks, suite=getattr(args, "suite", None),
+        schemes=schemes, tunables=_load_tunables(args),
+        options=_runtime_options(args), stats=stats,
     )
-    labels = _resolve_schemes(args) or (
-        "wait-forever", "oracle", "algorithm-1", "algorithm-2",
+    return result, stats
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import compare_table
+    from repro.schemes import COMPARE_LINEUP
+
+    result, stats = _lineup(
+        args, [args.benchmark], args.schemes or COMPARE_LINEUP
     )
-    try:
-        base = runner.baseline_cycles(args.benchmark)
-        rows = []
-        for label in labels:
-            entry = build_scheme(label, runner.tunables)
-            rows.append([label, runner.improvement(
-                args.benchmark, entry.factory, entry.variant
-            )])
-    finally:
-        runner.engine.close()
-    print(format_table(
-        ["scheme", "improvement %"], rows,
-        title=f"{args.benchmark} @ scale {args.scale:g} "
-              f"(baseline {base} cycles)",
-    ))
-    if args.stats:
-        _print_stats(runner)
+    print(compare_table(result, args.benchmark, args.scale))
+    _print_stats(args, stats)
     return 0
 
 
@@ -271,89 +252,40 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             baseline=args.baseline,
             max_slowdown=args.max_slowdown,
         )
-    from repro.analysis.experiments import ExperimentRunner, fig4_scheme_benefits
-
-    runner = ExperimentRunner(
-        scale=args.scale, benchmarks=_resolve_selection(args),
-        lineup=_resolve_schemes(args),
-        runtime=_runtime_options(args), tunables=_load_tunables(args),
-    )
-    try:
-        if runner.parallel_enabled:
-            runner.prefetch(runner.fig4_jobs())
-        print(fig4_scheme_benefits(runner).render())
-    finally:
-        runner.engine.close()
-    if args.stats:
-        _print_stats(runner)
+    result, stats = _lineup(args, args.benchmarks, args.schemes)
+    print(result.render())
+    _print_stats(args, stats)
     return 0
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.analysis import experiments as E
+    from repro import api
+    from repro.runtime import RunnerStats
 
-    runner = E.ExperimentRunner(
-        scale=args.scale, benchmarks=_resolve_selection(args),
-        lineup=_resolve_schemes(args),
-        runtime=_runtime_options(args), tunables=_load_tunables(args),
+    stats = RunnerStats()
+    api.evaluate(
+        args.only or None, scale=args.scale, benchmarks=args.benchmarks,
+        suite=args.suite, schemes=args.schemes,
+        tunables=_load_tunables(args), options=_runtime_options(args),
+        stats=stats, verbose=True,
     )
-    wanted = set(args.only or [])
-    try:
-        if not wanted:
-            # Full report: fan the whole job matrix out up front.
-            runner.prefetch_standard()
-        drivers = list(E.ALL_EXPERIMENTS) + [E.fidelity_summary]
-        for fn in drivers:
-            name = fn.__name__
-            if wanted and not any(w in name for w in wanted):
-                continue
-            res = fn(runner.cfg) if fn is E.table1_configuration else fn(runner)
-            print(res.render())
-            print()
-    finally:
-        runner.engine.close()
-    if args.stats:
-        _print_stats(runner)
+    _print_stats(args, stats)
     return 0
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     from datetime import date
 
-    from repro.tuning import (
-        SMOKE_BENCHMARKS,
-        SMOKE_GRID,
-        Tuner,
-        save_calibration,
-    )
+    from repro import api
+    from repro.tuning import save_calibration
 
-    kwargs = dict(
-        scale=args.scale,
-        seed=args.seed,
-        samples=args.samples,
-        survivors=args.survivors,
-        lineup=_resolve_schemes(args),
-        runtime=_runtime_options(args),
+    result = api.tune(
+        args.scale, seed=args.seed, samples=args.samples,
+        survivors=args.survivors, benchmarks=args.benchmarks,
+        suite=args.suite, schemes=args.schemes, smoke=args.smoke,
+        options=_runtime_options(args),
         progress=lambda msg: print(msg, file=sys.stderr),
     )
-    if args.smoke:
-        # CI pipeline check: tiny grid, two benchmarks, no promotion
-        # beyond them — exercises every stage in well under two minutes.
-        kwargs.update(
-            grid=SMOKE_GRID,
-            samples=min(args.samples, 4),
-            survivors=1,
-            cheap_benchmarks=SMOKE_BENCHMARKS,
-            full_benchmarks=SMOKE_BENCHMARKS,
-        )
-    selection = _resolve_selection(args)
-    if selection:
-        kwargs.update(full_benchmarks=selection)
-    tuner = Tuner(**kwargs)
-    try:
-        result = tuner.run()
-    finally:
-        tuner.close()
     print(result.describe())
     if args.smoke or args.dry_run:
         print("(dry run: calibration artifact not written)",
@@ -465,42 +397,43 @@ def _sweep_spec_from_args(args: argparse.Namespace):
     return spec
 
 
-def _finish_campaign(result, runner, args) -> int:
+def _sweep(args: argparse.Namespace, spec, root, **kwargs) -> int:
+    """Run a campaign through ``api.sweep`` and report it."""
+    from repro import api
+    from repro.campaign import CampaignError, QueueError
+
+    try:
+        result = api.sweep(
+            spec, root=root, workers=args.workers,
+            options=_runtime_options(args), **kwargs,
+        )
+    except (CampaignError, QueueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(result.report)
     done = len(result.results)
     total = result.summary["total_units"]
     print(
         f"[{result.campaign_id}] {done}/{total} units done, "
-        f"{runner.stats.executed} simulated, "
-        f"{runner.stats.hits} cache hits"
+        f"{result.stats.executed} simulated, "
+        f"{result.stats.hits} cache hits"
         + (f" -> {result.root}" if result.root else ""),
         file=sys.stderr,
     )
-    if args.stats:
-        print(runner.stats.render(), file=sys.stderr)
+    _print_stats(args, result.stats)
     return 0 if result.ok else 1
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignError, CampaignRunner, QueueError
-
-    spec = _sweep_spec_from_args(args)
     root = None if args.in_memory else (
         args.runs_dir or str(_default_runs_root())
     )
-    runner = CampaignRunner(
-        spec, root=root, options=_runtime_options(args),
+    return _sweep(
+        args, _sweep_spec_from_args(args), root, resume=args.resume
     )
-    try:
-        result = runner.run(resume=args.resume, workers=args.workers)
-    except (CampaignError, QueueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _finish_campaign(result, runner, args)
 
 
 def _cmd_sweep_resume(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignError, CampaignRunner, QueueError
     from repro.campaign import RunRegistry
 
     registry = RunRegistry(args.runs_dir)
@@ -508,17 +441,10 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
         print(f"error: no campaign {args.campaign!r} under "
               f"{registry.root}", file=sys.stderr)
         return 2
-    spec = registry.spec(args.campaign)
-    runner = CampaignRunner(
-        spec, root=registry.root, campaign_id=args.campaign,
-        options=_runtime_options(args),
+    return _sweep(
+        args, registry.spec(args.campaign), registry.root, resume=True,
+        campaign_id=args.campaign,
     )
-    try:
-        result = runner.run(resume=True, workers=args.workers)
-    except (CampaignError, QueueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _finish_campaign(result, runner, args)
 
 
 def _cmd_sweep_worker(args: argparse.Namespace) -> int:
@@ -554,8 +480,7 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
             f"(results shipped to {args.server})",
             file=sys.stderr,
         )
-        if args.stats:
-            print(runner.stats.render(), file=sys.stderr)
+        _print_stats(args, runner.stats)
         return 0
     if not args.campaign:
         print("error: give a CAMPAIGN id (or --server URL)",
@@ -586,8 +511,7 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
         f"{runner.stats.hits} cache hits; campaign {blob['status']}",
         file=sys.stderr,
     )
-    if args.stats:
-        print(runner.stats.render(), file=sys.stderr)
+    _print_stats(args, runner.stats)
     return 0 if blob["status"] == "complete" else 1
 
 
@@ -640,6 +564,8 @@ def _cmd_sweep_serve(args: argparse.Namespace) -> int:
         while not server.is_complete():
             _time.sleep(args.poll)
         finalized = server.finalize()
+        while not server.ready_to_close():
+            _time.sleep(args.poll)
     except KeyboardInterrupt:
         print(f"[{campaign}] interrupted; progress is journaled — "
               "serve again to continue", file=sys.stderr)

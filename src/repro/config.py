@@ -126,10 +126,6 @@ class NocConfig:
     def num_nodes(self) -> int:
         return self.width * self.height
 
-    def hop_cost(self, hops: int) -> int:
-        """Zero-load latency of an ``hops``-hop route (includes local exit)."""
-        return hops * (self.router_latency + self.link_latency)
-
 
 @dataclass(frozen=True)
 class DramConfig:

@@ -29,12 +29,10 @@ experiment measures that gap against the functional simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.config import CacheConfig
-from repro.core.ir import ArrayRef, LoopNest, OpaqueRef, Program, Ref, Statement
+from repro.core.ir import ArrayRef, LoopNest, OpaqueRef, Ref, Statement
 from repro.core.reuse import (
     group_reuse_distance,
     has_spatial_reuse,
@@ -340,13 +338,3 @@ def predict_accesses(
         k: v.miss_rate for k, v in estimator.analyze_nest(nest).items()
     }
 
-
-def program_miss_rates(
-    estimator: CmeEstimator, program: Program
-) -> Dict[int, float]:
-    """Per-statement mean predicted miss rate across a whole program."""
-    out: Dict[int, List[float]] = {}
-    for nest in program.nests:
-        for (sid, _), est in estimator.analyze_nest(nest).items():
-            out.setdefault(sid, []).append(est.miss_rate)
-    return {sid: float(np.mean(v)) for sid, v in out.items()}

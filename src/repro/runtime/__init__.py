@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :class:`~repro.runtime.keys.JobKey` / :func:`~repro.runtime.keys.config_digest`
-  — canonical job identity shared by the in-memory, on-disk, and
+* :class:`~repro.runtime.keys.JobKey` / :func:`~repro.runtime.keys.job_key`
+  / :func:`~repro.runtime.keys.config_digest` — canonical job identity
+  (and its one builder) shared by the in-memory, on-disk, and
   process-pool layers;
 * :class:`~repro.runtime.cache.ResultCache` /
   :func:`~repro.runtime.cache.default_cache_dir` — the content-addressed
@@ -31,6 +32,7 @@ from repro.runtime.keys import (
     canonical,
     config_digest,
     digest_of,
+    job_key,
 )
 from repro.runtime.parallel import (
     ParallelRunner,
@@ -54,4 +56,5 @@ __all__ = [
     "default_cache_dir",
     "digest_of",
     "execute_job",
+    "job_key",
 ]

@@ -27,12 +27,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from repro.config import ArchConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.tunables import Tunables
+    from repro.schemes import NdcScheme
 
 #: Bump when the meaning of cached payloads changes (e.g. new fields on
 #: SimulationResult); combined with the package version in every digest.
@@ -155,3 +156,40 @@ class JobKey:
         if self.tunables is not None and not self.tunables.is_default:
             parts.append(f"t:{self.tunables.short_digest()}")
         return "/".join(parts)
+
+
+def job_key(
+    bench: str,
+    scheme: Optional["NdcScheme"] = None,
+    variant: str = "original",
+    *,
+    scale: float,
+    config_digest: str,
+    tunables: Optional["Tunables"] = None,
+    label: Optional[str] = None,
+    trace_opts: Optional[Mapping[str, object]] = None,
+    **flags: bool,
+) -> JobKey:
+    """The one builder of :class:`JobKey`\\ s: the interactive drivers
+    (:class:`~repro.analysis.experiments.ExperimentRunner`) and the
+    campaign units (:class:`~repro.campaign.SweepUnit`) both call it,
+    so a sweep and a driver can never fork a cache entry.
+
+    ``scheme=None`` is the conventional baseline.  The ``"original"``
+    variant runs no compiler pass, so it carries no tunables (baselines
+    are shared across calibrations); the label defaults to the scheme's
+    name.  ``tunables`` is the *resolved* record (see
+    :func:`repro.tuning.resolve_tunables`); ``flags`` are the
+    collection switches (``profile_windows``, ...).
+    """
+    return JobKey(
+        bench=bench,
+        variant=variant,
+        scheme_spec=scheme.spec() if scheme is not None else None,
+        label=label or (scheme.name if scheme is not None else "original"),
+        trace_opts=tuple(sorted(trace_opts.items())) if trace_opts else (),
+        scale=scale,
+        config_digest=config_digest,
+        tunables=None if variant == "original" else tunables,
+        **flags,
+    )

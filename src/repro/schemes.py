@@ -34,8 +34,10 @@ lineup a real shootout:
 
 Every bar label lives in the :data:`SCHEMES` registry;
 :func:`build_lineup` resolves label sequences to
-:class:`SchemeEntry` tuples (:func:`fig4_lineup` is the paper-order
-alias over :data:`DEFAULT_LINEUP`).
+:class:`SchemeEntry` tuples, and the named casts every layer above uses
+(:data:`DEFAULT_LINEUP`, :data:`HEADLINE_LINEUP`,
+:data:`SHOOTOUT_LINEUP`, :data:`COMPARE_LINEUP`) are defined here
+once.
 
 A scheme returns a :class:`Decision`; the simulator then simulates the
 chosen path (including service-table capacity, time-outs, and fallback
@@ -47,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.arch.stats import NEVER
 from repro.config import ArchConfig, NdcComponentMask, NdcLocation
@@ -851,20 +853,6 @@ def scheme_from_spec(spec: Sequence) -> NdcScheme:
     return cls(*args)
 
 
-def standard_schemes(tunables: Optional[Tunables] = None) -> List[NdcScheme]:
-    """The Fig. 4 scheme lineup (compiler bars are added by the harness)."""
-    t = tunables
-    return [
-        WaitForever(tunables=t),
-        OracleScheme(tunables=t),
-        WaitFraction(5, tunables=t),
-        WaitFraction(10, tunables=t),
-        WaitFraction(25, tunables=t),
-        WaitFraction(50, tunables=t),
-        LastWait(tunables=t),
-    ]
-
-
 # ======================================================================
 # scheme construction (the single factory behind CLI / examples / tuning)
 # ======================================================================
@@ -926,19 +914,25 @@ SCHEMES: Dict[str, Tuple[str, Callable[[Optional[Tunables]], NdcScheme]]] = {
 #: Every registered bar label, in registry order.
 SCHEME_LABELS = tuple(SCHEMES)
 
-#: The paper's Fig. 4 bars, in paper order (:func:`fig4_lineup`'s cast;
-#: pinned byte-identical by the golden headline + differential suites).
+#: The paper's Fig. 4 bars, in paper order (:func:`build_lineup`'s
+#: default cast; pinned byte-identical by the golden headline +
+#: differential suites).
 DEFAULT_LINEUP = (
     "default", "oracle", "wait-5%", "wait-10%", "wait-25%",
     "wait-50%", "last-wait", "algorithm-1", "algorithm-2",
 )
 
-#: The seven-scheme shootout: the paper's headline cast plus the
-#: beyond-paper schemes (the ``"original"`` baseline is the implicit
-#: improvement denominator everywhere).
-SHOOTOUT_LINEUP = (
-    "default", "oracle", "algorithm-1", "algorithm-2", "coda", "nmpo",
-)
+#: The four headline bars: the default scheme axis of a sweep and the
+#: bars the tuner scores (they carry every hard Fig. 4 constraint).
+HEADLINE_LINEUP = ("default", "oracle", "algorithm-1", "algorithm-2")
+
+#: The seven-scheme shootout: the headline cast plus the beyond-paper
+#: schemes (the ``"original"`` baseline is the implicit improvement
+#: denominator everywhere).
+SHOOTOUT_LINEUP = HEADLINE_LINEUP + ("coda", "nmpo")
+
+#: The headline bars of ``repro compare`` and :func:`repro.quick_compare`.
+COMPARE_LINEUP = ("wait-forever", "oracle", "algorithm-1", "algorithm-2")
 
 
 def build_scheme(
@@ -966,11 +960,3 @@ def build_lineup(
 ) -> Tuple["SchemeEntry", ...]:
     """Resolve a label sequence to entries through :data:`SCHEMES`."""
     return tuple(build_scheme(label, tunables) for label in labels)
-
-
-def fig4_lineup(
-    tunables: Optional[Tunables] = None,
-) -> Tuple["SchemeEntry", ...]:
-    """Every Fig. 4 bar, in paper order, built under ``tunables``
-    (thin alias for ``build_lineup(DEFAULT_LINEUP, tunables)``)."""
-    return build_lineup(DEFAULT_LINEUP, tunables)

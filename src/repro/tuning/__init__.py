@@ -20,12 +20,11 @@ from repro.tuning.calibrated import (
     CALIBRATION_SCHEMA,
     calibrated_tunables,
     load_calibrations,
+    resolve_tunables,
     save_calibration,
     scale_key,
 )
 from repro.tuning.objective import (
-    HEADLINE_LABELS,
-    SHOOTOUT_LABELS,
     Score,
     ordering_violations,
     paper_distance,
@@ -46,8 +45,6 @@ __all__ = [
     "CALIBRATION_SCHEMA",
     "CHEAP_BENCHMARKS",
     "DEFAULT_GRID",
-    "HEADLINE_LABELS",
-    "SHOOTOUT_LABELS",
     "SMOKE_BENCHMARKS",
     "SMOKE_GRID",
     "Evaluation",
@@ -58,6 +55,7 @@ __all__ = [
     "load_calibrations",
     "ordering_violations",
     "paper_distance",
+    "resolve_tunables",
     "save_calibration",
     "scale_key",
     "score_geomeans",

@@ -119,6 +119,23 @@ def calibrated_tunables(
     return Tunables().replace(**diff)
 
 
+def resolve_tunables(
+    tunables: Optional[Tunables], scale: float
+) -> Optional[Tunables]:
+    """The tunables a job at ``scale`` actually compiles under.
+
+    ``None`` means the shipped calibration for the scale (itself
+    ``None`` when absent).  A record equal to the defaults normalizes
+    to ``None``, so job keys (and the persistent cache) cannot fork on
+    a no-op calibration.
+    """
+    if tunables is None:
+        tunables = calibrated_tunables(scale)
+    if tunables is not None and tunables.is_default:
+        return None
+    return tunables
+
+
 def save_calibration(
     scale: float,
     tunables: Tunables,

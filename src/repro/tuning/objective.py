@@ -35,19 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.paper_data import FIG4_GEOMEAN
-
-#: The four headline bars the objective scores (cheap to measure, and
-#: they carry every hard constraint).
-HEADLINE_LABELS: Tuple[str, ...] = (
-    "default", "oracle", "algorithm-1", "algorithm-2",
-)
-
-#: The headline bars plus the beyond-paper schemes (``coda``/``nmpo``,
-#: see :data:`repro.schemes.SCHEMES`): the lineup ``repro tune
-#: --schemes`` evaluates when calibrating the extended cast.  Scoring
-#: still reads only the labels the paper published; the extra bars ride
-#: along for the per-scheme calibration entries and reports.
-SHOOTOUT_LABELS: Tuple[str, ...] = HEADLINE_LABELS + ("coda", "nmpo")
+from repro.schemes import HEADLINE_LINEUP
 
 #: Minimum oracle geomean (%): guards against degenerate calibrations
 #: that satisfy the ordering by flattening every bar to noise.
@@ -89,7 +77,7 @@ def ordering_violations(geomeans: Mapping[str, float]) -> List[str]:
     """
     out: List[str] = []
     g: Dict[str, Optional[float]] = {
-        label: geomeans.get(label) for label in HEADLINE_LABELS
+        label: geomeans.get(label) for label in HEADLINE_LINEUP
     }
     missing = [label for label, v in g.items() if v is None]
     if missing:

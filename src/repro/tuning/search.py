@@ -35,7 +35,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis.metrics import geomean_improvement
 from repro.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.tunables import Tunables
-from repro.tuning.objective import HEADLINE_LABELS, Score, score_geomeans
+from repro.schemes import HEADLINE_LINEUP
+from repro.tuning.objective import Score, score_geomeans
 from repro.workloads.suite import BENCHMARK_NAMES
 
 #: Default knob grid (ordered; every knob's grid contains its default).
@@ -111,7 +112,7 @@ class TuneResult:
         ]
         from repro.analysis.paper_data import FIG4_GEOMEAN
 
-        for label in HEADLINE_LABELS:
+        for label in HEADLINE_LINEUP:
             got = self.best_geomeans.get(label)
             want = FIG4_GEOMEAN.get(label)
             if got is None:
@@ -147,7 +148,7 @@ class Tuner:
             raise ValueError("samples must be >= 1")
         if survivors < 1:
             raise ValueError("survivors must be >= 1")
-        self.lineup: Tuple[str, ...] = tuple(lineup or HEADLINE_LABELS)
+        self.lineup: Tuple[str, ...] = tuple(lineup or HEADLINE_LINEUP)
         from repro.schemes import build_lineup
 
         build_lineup(self.lineup)  # validate labels eagerly

@@ -15,7 +15,7 @@ Variants:
   per-component masks, the route-reselection ablation, and the
   coarse-grain variant all come through here.
 
-A small LRU cache keyed by (name, variant, scale, config identity,
+A small LRU cache keyed by (name, variant, scale, config, tunables,
 pass options) avoids recompiling and re-lowering inside experiment
 sweeps.
 """
@@ -40,17 +40,6 @@ def clear_cache() -> None:
     _cache.clear()
 
 
-def _cache_key(name, variant, scale, cfg, cores, tunables, options):
-    cfg_key = (
-        cfg.noc.width, cfg.noc.height, cfg.l1.size_bytes, cfg.l2.size_bytes,
-        cfg.l2.line_bytes, cfg.memory.num_controllers,
-        tuple(cfg.ndc.allowed_ops), int(cfg.ndc.component_mask),
-    )
-    t_key = tunables.digest() if tunables is not None else None
-    return (name, variant, scale, cfg_key, cores, t_key,
-            tuple(sorted(options.items())))
-
-
 def compiled_trace(
     name: str,
     variant: str = "original",
@@ -67,10 +56,13 @@ def compiled_trace(
     passes (thresholds, gates, time-out registers); it is ignored by the
     ``"original"`` variant, which runs no pass.
     """
-    key = _cache_key(
-        name, variant, scale, cfg, cores,
-        None if variant == "original" else tunables, pass_options,
-    )
+    if variant == "original":
+        tunables = None
+    # The whole (frozen, hashable) config: the passes and the lowering
+    # read far more of it than any hand-picked subset would cover.
+    key = (name, variant, scale, cfg, cores,
+           tunables.digest() if tunables is not None else None,
+           tuple(sorted(pass_options.items())))
     hit = _cache.get(key)
     if hit is not None:
         return hit

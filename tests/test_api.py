@@ -1,7 +1,7 @@
 """The stable ``repro.api`` facade.
 
 Covers the seven verbs' contracts (including the uniform
-``profile=``/``backend=`` runtime-control keywords), the lazy
+``profile=``/``options=``/``cache=`` runtime-control keywords), the lazy
 top-level re-exports, that the retired ``repro.analysis`` driver
 re-exports are really gone (the deprecation shims served their
 window), and — critical for the cache-schema acceptance bar — that a
@@ -12,7 +12,6 @@ internal drivers (the facade never forks
 
 import importlib
 import inspect
-import warnings
 
 import pytest
 
@@ -222,9 +221,8 @@ class TestBench:
         assert set(gated["gate"]) == {"ok", "messages"}
 
     def test_rejects_unknown_knobs_like_every_verb(self):
-        with pytest.warns(DeprecationWarning, match="backend"), \
-                pytest.raises(ValueError, match="engine profile"):
-            api.bench(smoke=True, backend="quantum", profile="turbo")
+        with pytest.raises(ValueError, match="engine profile"):
+            api.bench(smoke=True, profile="turbo")
 
 
 class TestUniformKeywords:
@@ -232,7 +230,7 @@ class TestUniformKeywords:
 
     VERBS = ("simulate", "lineup", "evaluate", "tune", "sweep",
              "characterize", "bench")
-    UNIFORM = ("profile", "backend", "options", "cache")
+    UNIFORM = ("profile", "options", "cache")
 
     def test_all_seven_verbs_exported(self):
         assert sorted(api.__all__) == sorted(self.VERBS)
@@ -246,43 +244,18 @@ class TestUniformKeywords:
             )
 
     def test_backend_validation_uniform(self):
-        """``backend=`` is a deprecated no-op: every verb accepts any
-        value and emits exactly one DeprecationWarning per call."""
-        calls = [
-            ("simulate", {}),
-            ("characterize", {}),
-            ("characterize", {"schemes": ["oracle", "algorithm-1"]}),
-        ]
-        for verb, extra in calls:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                getattr(api, verb)(
-                    "fft", scale=SCALE, cache=False, backend="quantum",
-                    **extra,
-                )
-            deprecations = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1, (verb, extra)
-            assert "backend" in str(deprecations[0].message)
-            assert deprecations[0].filename == __file__
-
-    def test_backend_per_unit_equals_batch(self, tmp_path):
-        """``backend=`` values are ignored: same results as a call
-        without ``backend=``."""
-        with pytest.warns(DeprecationWarning, match="backend"):
-            a = api.simulate(
-                "fft", "oracle", scale=SCALE, cache=False, backend="batch"
-            )
-        with pytest.warns(DeprecationWarning, match="backend"):
-            b = api.simulate(
-                "fft", "oracle", scale=SCALE, cache=False,
-                backend="per-unit",
-            )
-        assert a == b == api.simulate(
-            "fft", "oracle", scale=SCALE, cache=False
-        )
+        """The retired ``backend=`` keyword is gone from every verb:
+        passing it is a TypeError, raised before any work starts."""
+        args = {
+            "simulate": ("fft",),
+            "characterize": ("fft",),
+            "sweep": ({"benchmarks": ["fft"], "scales": [SCALE]},),
+        }
+        for verb in self.VERBS:
+            fn = getattr(api, verb)
+            assert "backend" not in inspect.signature(fn).parameters
+            with pytest.raises(TypeError, match="backend"):
+                fn(*args.get(verb, ()), backend="per-unit")
 
 
 class TestSurface:

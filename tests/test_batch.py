@@ -29,7 +29,7 @@ CFG_DIGEST = config_digest(DEFAULT_CONFIG)
 def lineup_keys(benchmark: str = "fft"):
     """A small lineup chunk: every Fig. 4 scheme over one benchmark."""
     keys = []
-    for entry in S.fig4_lineup(None):
+    for entry in S.build_lineup():
         scheme = entry.build()
         keys.append(JobKey(
             bench=benchmark, variant=entry.variant,

@@ -5,9 +5,9 @@
   the program — the resolver computed concrete addresses at build
   time, so re-basing would silently break the correspondence.
 * The ``nmpo`` warm-up profile is content-addressed: its digest must be
-  identical across engine profiles and executor backends (the event
-  stream it mines is pinned profile-invariant by the differential
-  suite).
+  identical across engine profiles, and so must the ``nmpo`` result
+  (the event stream it mines is pinned profile-invariant by the
+  differential suite).
 * The scheme-registry API must not move the pre-registry ground truth:
   the default :class:`~repro.campaign.SweepSpec` digest (and therefore
   every existing campaign id) is pinned byte-for-byte.
@@ -208,14 +208,14 @@ class TestNmpoProfileDeterminism:
         assert first is again  # served from the cache, not re-run
         assert first.digest() == again.digest()
 
-    def test_nmpo_result_identical_across_backends(self):
-        with pytest.warns(DeprecationWarning, match="backend"):
-            results = [
-                api.simulate("fft", "nmpo", scale=0.08, backend=backend,
-                             cache=False)
-                for backend in ("batch", "per-unit")
-            ]
-        assert results[0] == results[1]
+    def test_nmpo_result_identical_across_engine_profiles(self):
+        results = [
+            api.simulate("fft", "nmpo", scale=0.08, profile=profile,
+                         cache=False)
+            for profile in ENGINE_PROFILES
+        ]
+        assert len(results) >= 2
+        assert all(r == results[0] for r in results)
 
 
 # ======================================================================

@@ -24,14 +24,19 @@ from repro.campaign import (
     RunRegistry,
     SweepSpec,
     SweepUnit,
-    effective_tunables,
-    lineup_job_key,
     lineup_units,
     normalize_tunables,
 )
 from repro.config import DEFAULT_CONFIG
 from repro.core.tunables import Tunables
-from repro.runtime import ParallelRunner, RunnerStats, RuntimeOptions
+from repro.runtime import (
+    ParallelRunner,
+    RunnerStats,
+    RuntimeOptions,
+    config_digest,
+    job_key,
+)
+from repro.tuning import resolve_tunables
 
 SCALE = 0.08
 
@@ -75,9 +80,9 @@ class TestJobKeyParity:
         """Baselines consult no tunables — one cache entry for all."""
         diff = normalize_tunables(Tunables().replace(cache_timeout=60))
         a = SweepUnit("fft", BASELINE_LABEL, SCALE, tunables=None).job_key()
-        b = lineup_job_key(
-            "fft", BASELINE_LABEL, SCALE, DEFAULT_CONFIG,
-            effective_tunables(diff, SCALE),
+        b = job_key(
+            "fft", scale=SCALE, config_digest=config_digest(DEFAULT_CONFIG),
+            tunables=resolve_tunables(Tunables().replace(**dict(diff)), SCALE),
         )
         assert a.cache_digest() == b.cache_digest()
 
@@ -92,7 +97,7 @@ class TestJobKeyParity:
     def test_default_tunables_normalize_to_none(self):
         """An explicit all-defaults override cannot fork the cache."""
         assert normalize_tunables(Tunables()) == ()
-        assert effective_tunables((), SCALE) is None
+        assert resolve_tunables(Tunables(), SCALE) is None
 
 
 # ---------------------------------------------------------------------------

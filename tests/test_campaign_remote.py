@@ -29,6 +29,9 @@ Layers, bottom up:
 * **partition** — a worker that loses connectivity mid-lease: the
   reclaiming winner journals, the loser's late ``complete`` is refused
   unjournaled;
+* **server shutdown** — the server closes only once every claiming
+  worker has read the drain's final ``counts`` or outlived its lease
+  in silence;
 * **two real hosts** (``slow``) — server + two worker *processes* with
   disjoint cache dirs over localhost HTTP, one SIGKILLed mid-drain;
   the survivor finishes and ``summary.json``/``report.txt`` come out
@@ -65,6 +68,7 @@ from repro.campaign import (
     SweepSpec,
     TransportError,
 )
+from repro.campaign.remote import RELEASE_GRACE
 from repro.campaign.transport import FAULT_KINDS, WIRE_VERSION
 from repro.config import DEFAULT_CONFIG
 from repro.runtime import RuntimeOptions
@@ -668,6 +672,85 @@ class TestLeaseExpiryUnderPartition:
                 assert event["attempt"] == 2, \
                     "only the reclaiming winner may journal"
         assert server.counts().done == len(units)
+        server.close()
+
+
+# ======================================================================
+# server shutdown: finalize at once, close only when no worker is left
+# ======================================================================
+
+class TestServerCloses:
+    """``repro sweep serve`` may finalize the moment every unit is
+    terminal, but each worker still ends its drain with a ``claim`` and
+    a ``counts``.  Closing the listener before those land killed the
+    surviving worker with ``RemoteUnavailable`` although the campaign
+    had completed."""
+
+    def _server(self, tmp_path, fake_clock) -> ClaimServer:
+        spec = SweepSpec(**SPEC2)
+        _make_campaign(tmp_path / "runs", spec)
+        return ClaimServer(
+            tmp_path / "runs", spec.campaign_id,
+            options=RuntimeOptions(cache_dir=str(tmp_path / "scache")),
+            clock=fake_clock,
+        )
+
+    def _complete(self, server, client, claimed, warm_cache) -> None:
+        units = {u.unit_id: u for u in server.spec.expand()}
+        warm = ResultCache(warm_cache)
+        for cu in claimed:
+            digest = units[cu.unit_id].job_key(
+                DEFAULT_CONFIG).cache_digest()
+            client.ship_result(digest, warm.load(digest))
+            assert client.complete(
+                cu.unit_id, digest, attempt=cu.attempt, session=1,
+            ) is True
+
+    def test_waits_for_the_last_worker_to_read_active_zero(
+            self, tmp_path, warm_cache, fake_clock):
+        server = self._server(tmp_path, fake_clock)
+        assert server.ready_to_close()  # nobody has claimed yet
+        worker = _client(server, worker_id="host-a")
+        worker.hello()
+        self._complete(
+            server, worker, worker.claim(10, lease=5), warm_cache,
+        )
+        assert server.is_complete() and server.finalize()
+        fake_clock.advance(RELEASE_GRACE + 1)  # well inside the lease
+        assert not server.ready_to_close()
+        assert worker.claim(10, lease=5) == []
+        assert not server.ready_to_close()
+        assert worker.counts().active == 0
+        # Answered, but that reply may have been torn: the retry must
+        # still find the port open for a moment.
+        assert not server.ready_to_close()
+        fake_clock.advance(RELEASE_GRACE + 0.01)
+        assert server.ready_to_close()
+        server.close()
+
+    def test_silent_killed_worker_delays_closing_by_its_lease(
+            self, tmp_path, warm_cache, fake_clock):
+        server = self._server(tmp_path, fake_clock)
+        victim = _client(server, worker_id="victim")
+        victim.hello()
+        self._complete(
+            server, victim, victim.claim(1, lease=30), warm_cache,
+        )
+        # The victim is SIGKILLed here: it never speaks again.
+        survivor = _client(server, worker_id="survivor")
+        survivor.hello()
+        self._complete(
+            server, survivor, survivor.claim(10, lease=5), warm_cache,
+        )
+        assert survivor.claim(10, lease=5) == []
+        assert survivor.counts().active == 0
+        assert server.is_complete() and server.finalize()
+        fake_clock.advance(RELEASE_GRACE + 0.01)
+        assert not server.ready_to_close()  # the victim might be alive
+        fake_clock.advance(30 - RELEASE_GRACE - 0.01)
+        assert not server.ready_to_close()  # silent exactly its lease
+        fake_clock.advance(0.02)
+        assert server.ready_to_close()
         server.close()
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import api, quick_compare
 from repro.cli import (
     RUNTIME_FLAGS,
     SCHEME_FLAGS,
@@ -205,6 +206,32 @@ class TestCommands:
         ])
         assert rc == 0
         assert "Table 1" in capsys.readouterr().out
+
+
+class TestCliAddsOnlyPrinting:
+    """Each simulating subcommand is a thin shell over one ``repro.api``
+    verb: its stdout is exactly what the verb returns, rendered."""
+
+    def test_bench_prints_api_lineup(self, capsys):
+        assert main(["bench", "fft", "--scale", "0.08", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert out == api.lineup(0.08, ["fft"], cache=False).render() + "\n"
+
+    def test_compare_prints_quick_compare(self, capsys):
+        assert main(["compare", "fft", "--scale", "0.08", "--no-cache"]) == 0
+        assert capsys.readouterr().out == quick_compare("fft", 0.08) + "\n"
+
+    def test_experiments_prints_api_evaluate(self, capsys):
+        assert main([
+            "experiments", "--only", "table1", "--benchmarks", "fft",
+            "--scale", "0.08",
+        ]) == 0
+        out = capsys.readouterr().out
+        results = api.evaluate(
+            ["table1"], scale=0.08, benchmarks=["fft"], cache=False,
+        )
+        assert list(results) == ["table1"]
+        assert out == results["table1"].render() + "\n\n"
 
 
 class TestSweepCommands:

@@ -57,7 +57,7 @@ def _run_lineup(benchmark: str, profile: str, bus=None):
     """Every Fig. 4 scheme on ``benchmark`` under one engine profile."""
     cfg = DEFAULT_CONFIG
     results = {}
-    for entry in S.fig4_lineup(None):
+    for entry in S.build_lineup():
         trace = benchmark_trace(benchmark, entry.variant, SCALE, cfg)
         sim = SystemSimulator(
             cfg, entry.build(), engine_profile=profile, event_bus=bus
@@ -129,7 +129,7 @@ class TestLineupEquivalence:
         """The replay loop trims ended link intervals; a link whose
         every interval has ended must still report its busy-until clock
         (hashjoin/oracle leaves about half its links in that state)."""
-        oracle = next(e for e in S.fig4_lineup(None) if e.label == "oracle")
+        oracle = next(e for e in S.build_lineup() if e.label == "oracle")
         trace = benchmark_trace("hashjoin", oracle.variant, 0.2)
         free_at = {}
         for profile in ENGINE_PROFILES:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import schemes as S
 from repro.analysis import experiments as E
 from repro.config import DEFAULT_CONFIG, NdcLocation
 
@@ -56,7 +57,7 @@ class TestFig3:
 class TestFig4:
     def test_all_bars_present(self, runner):
         res = E.fig4_scheme_benefits(runner)
-        labels = {l for l, _, _ in E.FIG4_SCHEMES}
+        labels = set(S.DEFAULT_LINEUP)
         assert set(res.data["geomean"]) == labels
         for bench, row in res.data["per_benchmark"].items():
             assert set(row) == labels

@@ -235,7 +235,7 @@ class TestCompilerDirected:
 
 class TestLineup:
     def test_standard_schemes_cover_fig4(self):
-        names = [s.name for s in S.standard_schemes()]
+        names = [e.build().name for e in S.build_lineup()]
         assert "wait-forever" in names
         assert "oracle" in names
         assert "last-wait" in names
@@ -259,12 +259,23 @@ class TestSchemeRegistry:
             assert label in msg
 
     def test_build_lineup_defaults_to_fig4(self):
-        via_builder = S.build_lineup()
-        via_alias = S.fig4_lineup()
-        assert [e.label for e in via_builder] == \
-               [e.label for e in via_alias] == list(S.DEFAULT_LINEUP)
-        assert [e.spec_key() for e in via_builder] == \
-               [e.spec_key() for e in via_alias]
+        via_default = S.build_lineup()
+        via_labels = S.build_lineup(S.DEFAULT_LINEUP)
+        assert [e.label for e in via_default] == list(S.DEFAULT_LINEUP)
+        assert [e.spec_key() for e in via_default] == \
+               [e.spec_key() for e in via_labels]
+
+    def test_named_casts_nest(self):
+        """Every named cast is defined once, in terms of the others."""
+        assert S.HEADLINE_LINEUP == (
+            "default", "oracle", "algorithm-1", "algorithm-2",
+        )
+        assert S.SHOOTOUT_LINEUP == S.HEADLINE_LINEUP + ("coda", "nmpo")
+        assert set(S.HEADLINE_LINEUP) <= set(S.DEFAULT_LINEUP)
+        # repro compare's cast: the headline bars, with the Default bar
+        # under its wait-forever alias (same scheme, same trace).
+        assert [e.spec_key()[1:] for e in S.build_lineup(S.COMPARE_LINEUP)] \
+            == [e.spec_key()[1:] for e in S.build_lineup(S.HEADLINE_LINEUP)]
 
     def test_entries_carry_variant_and_buildable_factory(self):
         for label, entry in zip(

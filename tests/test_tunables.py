@@ -236,12 +236,6 @@ class TestSchemeFactory:
         assert a != b
         assert a[:2] == b[:2] == ("algorithm-1", "alg1")
 
-    def test_fig4_lineup_matches_experiments_table(self):
-        from repro.analysis.experiments import FIG4_SCHEMES
-
-        assert [e.label for e in S.fig4_lineup()] == \
-            [label for label, _, _ in FIG4_SCHEMES]
-
     def test_factories_build_fresh_instances(self):
         entry = S.build_scheme("last-wait")
         assert entry.build() is not entry.build()

@@ -213,14 +213,14 @@ def test_calibrated_scale_ordering_regression(tmp_path, scale):
     zero violations, and the profile-guided ``nmpo`` must land between
     the realizable compiler bound (alg2) and the oracle."""
     from repro.runtime import RuntimeOptions
-    from repro.tuning import SHOOTOUT_LABELS
+    from repro.schemes import SHOOTOUT_LINEUP
     from repro.workloads.suite import BENCHMARK_NAMES
 
     t = calibrated_tunables(scale)
     assert t is not None, f"in-tree calibrated.json has no {scale} entry"
     tuner = Tuner(
         scale=scale,
-        lineup=SHOOTOUT_LABELS,
+        lineup=SHOOTOUT_LINEUP,
         runtime=RuntimeOptions(jobs=1, cache_dir=str(tmp_path / "cache")),
     )
     try:

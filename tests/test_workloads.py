@@ -1,11 +1,18 @@
 """The 20-benchmark suite: construction, determinism, scaling."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.ir import Program
 from repro.isa import OpKind, trace_op_count
-from repro.workloads import benchmark_trace, build_benchmark, build_suite
+from repro.workloads import (
+    benchmark_trace,
+    build_benchmark,
+    build_suite,
+    tracegen,
+)
 from repro.workloads.suite import BENCHMARK_NAMES
 from repro.workloads.tracegen import compiled_trace
 
@@ -96,6 +103,23 @@ class TestCompiledVariants:
         a = benchmark_trace("lu", scale=0.12)
         b = benchmark_trace("lu", scale=0.12)
         assert a is b  # LRU-cached
+
+    @pytest.mark.parametrize("bench,variant,override", [
+        ("md", "alg1", lambda c: dataclasses.replace(
+            c, memory=dataclasses.replace(c.memory, interleave_bytes=1024))),
+        ("swim", "alg2", lambda c: dataclasses.replace(
+            c, l1=dataclasses.replace(c.l1, line_bytes=32))),
+    ], ids=["md-interleave_bytes", "swim-l1_line_bytes"])
+    def test_cache_keys_on_the_whole_config(self, bench, variant, override):
+        """A config differing only in fields the compiler reads but a
+        partial key would skip must not be served the default config's
+        trace: the cached build equals one from a cleared cache."""
+        cfg = override(DEFAULT_CONFIG)
+        compiled_trace(bench, variant, 0.1, DEFAULT_CONFIG)
+        after_default = compiled_trace(bench, variant, 0.1, cfg)
+        tracegen.clear_cache()
+        fresh = compiled_trace(bench, variant, 0.1, cfg)
+        assert after_default[0] == fresh[0]
 
     def test_fits_on_mesh(self):
         for name in ("md", "water"):
