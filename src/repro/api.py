@@ -252,7 +252,7 @@ def tune(
     """Auto-calibrate the :class:`Tunables` against the paper's Fig. 4.
 
     Candidate evaluations route through the campaign runner (shared
-    cache + manifest accounting).  ``schemes`` widens the evaluated
+    cache + journal accounting).  ``schemes`` widens the evaluated
     lineup beyond the four headline bars (e.g.
     :data:`repro.schemes.SHOOTOUT_LINEUP` to calibrate ``coda``/``nmpo``
     alongside); scoring still reads only the paper's labels.  Returns
@@ -360,7 +360,10 @@ def sweep(
         runner = CampaignRunner(
             spec, options=_options(options, profile, cache),
         )
-        return runner.attach_remote(server, **runner_kwargs)
+        try:
+            return runner.attach_remote(server, **runner_kwargs)
+        finally:
+            runner.close()
     if spec is None:
         raise TypeError("sweep() needs a spec (or server=)")
     runner = CampaignRunner(
@@ -368,7 +371,10 @@ def sweep(
         options=_options(options, profile, cache),
         **runner_kwargs,
     )
-    return runner.run(resume=resume, workers=workers)
+    try:
+        return runner.run(resume=resume, workers=workers)
+    finally:
+        runner.close()
 
 
 def characterize(

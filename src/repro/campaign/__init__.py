@@ -8,12 +8,14 @@ into managed, crash-resumable runs:
   JSON/TOML-loadable) expands into :class:`SweepUnit` work units whose
   :class:`~repro.runtime.keys.JobKey`\\ s are digest-identical to the
   interactive drivers' (one cache namespace, never forked);
-* :mod:`repro.campaign.manifest` — the append-only ``manifest.jsonl``
-  journal that survives ``SIGKILL`` and makes resume exact;
-* :mod:`repro.campaign.queue` — the ``claims.sqlite`` lease-based
-  claim table beside the journal, which lets any number of worker
-  processes pull open units concurrently with exactly-once journaling
-  and crash reconciliation;
+* :mod:`repro.campaign.queue` — ``claims.sqlite``, the campaign's one
+  store: a lease-based claim table that lets any number of worker
+  processes pull open units concurrently, and the event journal, whose
+  ``done``/``failed`` events commit in the same transaction as their
+  claim rows (exactly-once journaling that survives ``SIGKILL``);
+* :mod:`repro.campaign.manifest` — :class:`Manifest`, the journal's
+  reader and writer, which folds the events into per-unit state and
+  makes resume exact;
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner` executes
   units through :class:`~repro.runtime.ParallelRunner` with chunking,
   per-unit failure isolation, and backoff retries, then materializes a

@@ -1,28 +1,27 @@
-"""Persistent campaign manifest: the crash-recovery journal.
+"""The campaign journal: an event table in the campaign's claim store.
 
-Every campaign directory carries a ``manifest.jsonl`` — one JSON object
-per line, appended and flushed as units finish — that records what
-happened: a ``header`` line (spec digest + unit count), one ``session``
-line per runner process that attached, and one ``unit`` line per
-terminal unit event (``done`` / ``failed``).  Because lines are only
-ever *appended* (never rewritten), the journal survives ``SIGKILL`` at
-any instant; replay simply ignores a torn trailing line.
+A campaign records what happened as events in the ``journal`` table of
+its SQLite store (``claims.sqlite``, or ``":memory:"`` for an in-memory
+campaign; see :mod:`repro.campaign.queue`): a ``header`` event (spec
+digest + unit count), one ``session`` event per runner process that
+attached, one ``unit`` event per terminal unit outcome (``done`` /
+``failed``), and one ``complete`` event per finished run.  The claim
+queue inserts each ``unit`` event in the same transaction that moves
+the unit's claim row, so a row and its event commit together or not
+at all, at any instant a writer is killed.
 
-The :class:`Manifest` API is the same whether it is backed by a file
-(resumable campaigns) or purely in-memory (the tuner's throwaway
-candidate evaluations): ``record_done`` / ``record_failed`` append
-events, :meth:`state` folds the journal into per-unit status.
+The :class:`Manifest` API is the same for every store: ``record_done``
+/ ``record_failed`` append events, :meth:`state` folds the journal
+into per-unit status.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
-
-MANIFEST_NAME = "manifest.jsonl"
+from typing import Dict, List, Optional
 
 #: Unit status values as folded by :meth:`Manifest.state`.
 DONE = "done"
@@ -55,7 +54,6 @@ class ManifestState:
     sessions: int = 0
     header: Optional[dict] = None
     completes: List[dict] = field(default_factory=list)
-    torn_lines: int = 0
 
     def unit(self, unit_id: str) -> UnitState:
         return self.units.get(unit_id, UnitState(unit_id))
@@ -70,83 +68,34 @@ class ManifestState:
 
 
 class Manifest:
-    """Append-only JSONL journal for one campaign (or in-memory).
+    """The event journal of one campaign store.
 
-    ``path=None`` keeps the journal in memory only — same API, nothing
-    on disk (used by the tuner's campaign-routed candidate loop).
+    ``db`` is the store's connection (a
+    :class:`~repro.campaign.queue.ClaimQueue` builds its own journal
+    as :attr:`ClaimQueue.manifest`): an event appended inside one of
+    the queue's transactions commits with it, any other event commits
+    on its own.  Reads always see every committed event, whichever
+    process wrote it.
     """
 
-    def __init__(self, path: Union[None, str, Path] = None):
-        self.path = Path(path) if path is not None else None
-        self._lines: List[dict] = []
-        if self.path is not None and self.path.exists():
-            self._lines = list(self._replay())
-            self._repair_tail()
-
-    def reload(self, *, repair: bool = False) -> "Manifest":
-        """Re-read the journal from disk (other writers may have
-        appended since).  In-memory journals are a no-op.
-
-        ``repair=False`` is read-only — safe while other processes are
-        appending (a torn tail is simply ignored, as in replay).
-        ``repair=True`` additionally newline-terminates a torn tail and
-        must only run while holding the campaign's claim-queue write
-        lock (:meth:`~repro.campaign.queue.ClaimQueue.reconcile` does),
-        so it can never split a live writer's in-flight line.
-        """
-        if self.path is None:
-            return self
-        if self.path.exists():
-            self._lines = list(self._replay())
-            if repair:
-                self._repair_tail()
-        return self
-
-    def _repair_tail(self) -> None:
-        """Terminate a torn trailing line (a writer killed mid-write).
-
-        Without this, the next append would concatenate onto the torn
-        fragment and corrupt itself too; with it, the fragment stays an
-        ignored torn line and new events land on fresh lines.
-        """
-        assert self.path is not None
-        with self.path.open("rb+") as fh:
-            fh.seek(0, 2)
-            size = fh.tell()
-            if size == 0:
-                return
-            fh.seek(size - 1)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")
-
-    # ------------------------------------------------------------------
-    # journal I/O
-    # ------------------------------------------------------------------
-    def _replay(self):
-        assert self.path is not None
-        with self.path.open("r", encoding="utf-8") as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    event = json.loads(raw)
-                except json.JSONDecodeError:
-                    # A torn trailing line from a killed writer; the
-                    # unit it would have recorded simply reruns (its
-                    # simulation is still in the warm cache anyway).
-                    continue
-                if isinstance(event, dict):
-                    yield event
+    def __init__(self, db: sqlite3.Connection):
+        self._db = db
 
     def _append(self, event: dict) -> None:
-        self._lines.append(event)
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-            fh.flush()
+        self._db.execute(
+            "INSERT INTO journal(kind, unit, status, event)"
+            " VALUES (?, ?, ?, ?)",
+            (event["event"], event.get("unit"), event.get("status"),
+             json.dumps(event, sort_keys=True)),
+        )
+
+    def events(self) -> List[dict]:
+        """Every journaled event, oldest first."""
+        return [
+            json.loads(raw) for (raw,) in self._db.execute(
+                "SELECT event FROM journal ORDER BY seq"
+            )
+        ]
 
     # ------------------------------------------------------------------
     # event writers
@@ -154,7 +103,9 @@ class Manifest:
     def write_header(self, campaign_id: str, spec_digest: str,
                      total_units: int) -> None:
         """Once per campaign (skipped when resuming an existing one)."""
-        if any(e.get("event") == "header" for e in self._lines):
+        if self._db.execute(
+            "SELECT 1 FROM journal WHERE kind='header'"
+        ).fetchone():
             return
         self._append({
             "event": "header",
@@ -212,11 +163,14 @@ class Manifest:
     # ------------------------------------------------------------------
     @property
     def sessions(self) -> int:
-        return sum(1 for e in self._lines if e.get("event") == "session")
+        (count,) = self._db.execute(
+            "SELECT COUNT(*) FROM journal WHERE kind='session'"
+        ).fetchone()
+        return count
 
     def state(self) -> ManifestState:
         st = ManifestState()
-        for event in self._lines:
+        for event in self.events():
             kind = event.get("event")
             if kind == "header":
                 st.header = event

@@ -1,10 +1,10 @@
-"""SQLite-WAL claim queue: a campaign as a shared work pool.
+"""The campaign store: claim table and journal in one SQLite database.
 
-The queue is the *coordination* half of a campaign directory.  It lives
-beside the append-only ``manifest.jsonl`` journal as ``claims.sqlite``
-— one row per sweep unit — and lets any number of worker processes
+``claims.sqlite`` is the one store of a campaign directory.  It holds
+one claim row per sweep unit, which lets any number of worker processes
 (``repro sweep worker``, or the children behind ``--workers N``) pull
-open units concurrently:
+open units concurrently, and the campaign's event journal
+(:mod:`repro.campaign.manifest`):
 
 * **claiming** is an atomic ``open -> claimed`` transition inside a
   ``BEGIN IMMEDIATE`` transaction, stamped with the claimer's identity
@@ -14,27 +14,21 @@ open units concurrently:
   units return to the queue — immediately when the owner pid is
   visibly dead on the same host, or at lease expiry otherwise;
 * **completion** is exactly-once: the ``claimed -> done`` transition is
-  a conditional UPDATE guarded by the owner identity, and the queue's
-  own manifest append runs *inside* the same transaction — a worker
-  whose lease was reclaimed loses the UPDATE and therefore never
-  journals;
-* **reconciliation** (:meth:`ClaimQueue.reconcile`) repairs the one
-  crash window the above leaves (journal appended, claim-row commit
-  lost): the manifest journal is the authority, so manifest-``done``
-  units are forced ``done`` in the claim table without re-journaling,
-  and claim-table-``done`` units missing from the journal are reopened
-  (they re-resolve through the warm cache and journal once).
+  a conditional UPDATE guarded by the owner identity, and the unit's
+  journal event is inserted in the same transaction — a worker whose
+  lease was reclaimed loses the UPDATE and therefore never journals,
+  and a worker killed mid-transaction leaves neither the row change nor
+  the event.
 
 Failed units keep their error and attempt count in the claim row (and
-the journal); ``reconcile(reset_failed=True)`` — the resume path —
+the journal); :meth:`ClaimQueue.reopen_failed` — the resume path —
 reopens them, mirroring the PyExperimenter "reset failed experiments"
 workflow.
 
-The queue never holds results: simulation outputs travel through the
-content-addressed :mod:`repro.runtime.cache` exactly as before, so the
-claim table adds coordination without forking cache keys.  An
-in-memory campaign is the same queue on SQLite ``":memory:"`` with an
-in-memory manifest.
+The store never holds results: simulation outputs travel through the
+content-addressed :mod:`repro.runtime.cache`, so the claim table adds
+coordination without forking cache keys.  An in-memory campaign is the
+same store on SQLite ``":memory:"``.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Set, Union,
+    TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Union,
 )
 
 from repro.campaign.manifest import Manifest
@@ -57,6 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.simulator import SimulationResult
 
 CLAIMS_NAME = "claims.sqlite"
+
+#: ``PRAGMA user_version`` of the stores this code writes.  A store
+#: written before the journal moved into it has a ``units`` table and
+#: no stamp, and is refused rather than read as an empty journal.
+STORE_VERSION = 1
 
 #: Claim-row status values.
 OPEN = "open"
@@ -86,6 +85,15 @@ CREATE TABLE IF NOT EXISTS units (
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT
+);
+-- one row per journal event: ``event`` is the whole event as JSON,
+-- the other columns are what queries select on
+CREATE TABLE IF NOT EXISTS journal (
+    seq    INTEGER PRIMARY KEY,
+    kind   TEXT NOT NULL,
+    unit   TEXT,
+    status TEXT,
+    event  TEXT NOT NULL
 );
 """
 
@@ -139,29 +147,29 @@ class QueueCounts:
 
 
 class ClaimQueue:
-    """The ``claims.sqlite`` table of one campaign directory.
+    """The ``claims.sqlite`` store of one campaign directory.
 
-    ``manifest`` is the campaign journal: :meth:`complete` and
-    :meth:`fail` append to it inside their owner-guarded transaction
-    (``None`` journals nowhere).  ``worker_id`` defaults to a fresh
+    :attr:`manifest` is the campaign journal in the same database:
+    :meth:`complete` and :meth:`fail` append to it inside their
+    owner-guarded transaction.  ``worker_id`` defaults to a fresh
     ``host:pid:nonce`` identity; ``clock`` is injectable so lease
     expiry is testable without sleeping.  Every mutating method is one
     WAL transaction, so any number of queues (processes) may point at
-    the same file; ``path=":memory:"`` is a private in-process table.
+    the same file; ``path=":memory:"`` is a private in-process store.
+    Opening a store written by another store version raises
+    :class:`QueueError`.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
         *,
-        manifest: Optional[Manifest] = None,
         worker_id: Optional[str] = None,
         clock: Callable[[], float] = time.time,
         busy_timeout: float = 30.0,
         check_same_thread: bool = True,
     ):
         self.path = Path(path)
-        self.manifest = manifest
         self.clock = clock
         self.host = socket.gethostname()
         self.pid = os.getpid()
@@ -180,7 +188,35 @@ class ClaimQueue:
         )
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.executescript(_SCHEMA)
+        try:
+            self._init_store()
+        except BaseException:
+            self._db.close()
+            raise
+        self.manifest = Manifest(self._db)
+
+    def _init_store(self) -> None:
+        """Create and stamp a new store, or check an existing one's
+        stamp — in one write transaction, so two processes creating a
+        store at once cannot refuse each other: the second sees the
+        first's tables and stamp together."""
+        with self.transaction() as db:
+            (version,) = db.execute("PRAGMA user_version").fetchone()
+            if version == STORE_VERSION:
+                return
+            if version == 0 and not db.execute(
+                "SELECT 1 FROM sqlite_master WHERE name='units'"
+            ).fetchone():
+                for statement in _SCHEMA.split(";"):
+                    db.execute(statement)
+                db.execute(f"PRAGMA user_version={STORE_VERSION}")
+                return
+            raise QueueError(
+                f"campaign store {self.path} was written by another "
+                f"version of repro (store version {version}, this one "
+                f"reads {STORE_VERSION}); re-run the campaign under a new "
+                "name"
+            )
 
     def close(self) -> None:
         self._db.close()
@@ -203,7 +239,7 @@ class ClaimQueue:
             self._db.execute("COMMIT")
 
     # ------------------------------------------------------------------
-    # filling and repairing the table
+    # filling the table
     # ------------------------------------------------------------------
     def populate(
         self,
@@ -242,68 +278,17 @@ class ClaimQueue:
                 added += cur.rowcount
         return added
 
-    def reconcile(
-        self,
-        manifest,
-        *,
-        reset_failed: bool = False,
-    ) -> dict:
-        """Repair claim/journal divergence; the journal is the authority.
-
-        ``manifest`` is either a :class:`~repro.campaign.manifest.
-        Manifest` (re-read from disk inside the transaction, so the
-        repair sees every committed journal line) or a plain iterable
-        of done unit ids.  Two crash windows are repaired:
-
-        * journal says ``done`` but the claim row does not (a writer
-          died after the manifest append, before the claim commit):
-          force the row ``done`` *without* journaling again;
-        * claim row says ``done`` but the journal does not (the journal
-          was truncated/restored): reopen the row — the unit re-resolves
-          through the warm cache and journals exactly once.
-
-        ``reset_failed=True`` (the resume path) additionally reopens
-        terminally failed units with a fresh attempt budget.
-        """
+    def reopen_failed(self) -> int:
+        """Reopen terminally failed units with a fresh attempt budget
+        (the resume path); returns how many.  Their journal events
+        stay, so the journal still counts every attempt."""
         with self.transaction() as db:
-            if hasattr(manifest, "done_ids"):
-                if hasattr(manifest, "reload"):
-                    manifest.reload(repair=True)
-                done = set(manifest.done_ids())
-            else:
-                done = set(manifest)
-            repaired = reopened = reset = 0
-            rows = db.execute("SELECT unit_id, status FROM units").fetchall()
-            for uid, status in rows:
-                if uid in done and status != DONE:
-                    db.execute(
-                        "UPDATE units SET status=?, owner=NULL,"
-                        " owner_host=NULL, owner_pid=NULL, error=NULL"
-                        " WHERE unit_id=?",
-                        (DONE, uid),
-                    )
-                    repaired += 1
-                elif status == DONE and uid not in done:
-                    db.execute(
-                        "UPDATE units SET status=?, owner=NULL,"
-                        " owner_host=NULL, owner_pid=NULL, digest=NULL,"
-                        " attempts=0, not_before=0 WHERE unit_id=?",
-                        (OPEN, uid),
-                    )
-                    reopened += 1
-                elif reset_failed and status == FAILED:
-                    db.execute(
-                        "UPDATE units SET status=?, owner=NULL,"
-                        " owner_host=NULL, owner_pid=NULL, attempts=0,"
-                        " error=NULL, not_before=0 WHERE unit_id=?",
-                        (OPEN, uid),
-                    )
-                    reset += 1
-        return {
-            "repaired_done": repaired,
-            "reopened": reopened,
-            "reset_failed": reset,
-        }
+            return db.execute(
+                "UPDATE units SET status=?, owner=NULL, owner_host=NULL,"
+                " owner_pid=NULL, attempts=0, error=NULL, not_before=0"
+                " WHERE status=?",
+                (OPEN, FAILED),
+            ).rowcount
 
     # ------------------------------------------------------------------
     # the worker protocol: claim -> heartbeat -> complete/fail
@@ -377,14 +362,13 @@ class ClaimQueue:
     ) -> bool:
         """``claimed -> done`` if we still own the unit; exactly-once.
 
-        The manifest append runs *inside* the claim transaction, after
+        The journal insert runs *inside* the claim transaction, after
         the owner-guarded UPDATE wins — so a worker whose lease was
-        reclaimed never journals, and a crash between the journal
-        append and the commit leaves the journal ahead of the table,
-        which :meth:`reconcile` repairs without re-running.  ``result``
-        is ignored: local results travel through the shared cache.
-        Returns False when the lease was lost (the caller's result is
-        already in the shared cache; nothing else to do).
+        reclaimed never journals, and the row and its event commit
+        together or not at all.  ``result`` is ignored: local results
+        travel through the shared cache.  Returns False when the lease
+        was lost (the caller's result is already in the shared cache;
+        nothing else to do).
         """
         with self.transaction() as db:
             cur = db.execute(
@@ -394,10 +378,7 @@ class ClaimQueue:
             )
             if cur.rowcount != 1:
                 return False
-            if self.manifest is not None:
-                self.manifest.record_done(
-                    unit_id, digest, wall, attempt, session
-                )
+            self.manifest.record_done(unit_id, digest, wall, attempt, session)
         return True
 
     def fail(
@@ -414,8 +395,8 @@ class ClaimQueue:
 
         Below the attempt cap the unit reopens with a ``not_before``
         backoff (any worker may pick up the retry); at the cap it turns
-        terminally ``failed`` (resettable via ``reconcile``).  Like
-        :meth:`complete`, the journal append commits with the row.
+        terminally ``failed`` (resettable via :meth:`reopen_failed`).
+        Like :meth:`complete`, the journal event commits with the row.
         """
         now = self.clock()
         with self.transaction() as db:
@@ -441,23 +422,8 @@ class ClaimQueue:
                     " not_before=? WHERE unit_id=?",
                     (OPEN, str(error)[:500], now + backoff, unit_id),
                 )
-            if self.manifest is not None:
-                self.manifest.record_failed(unit_id, error, attempt, session)
+            self.manifest.record_failed(unit_id, error, attempt, session)
         return "failed" if terminal else "retry"
-
-    def mark_done(self, unit_id: str) -> None:
-        """Force a unit ``done`` without journaling.
-
-        Used when a claimed unit turns out to be journaled already (the
-        reconcile crash window hit mid-flight): the journal has its done
-        line, the result is in the cache — only the row needs repair.
-        """
-        with self.transaction() as db:
-            db.execute(
-                "UPDATE units SET status=?, owner=NULL, owner_host=NULL,"
-                " owner_pid=NULL, error=NULL WHERE unit_id=? AND status!=?",
-                (DONE, unit_id, DONE),
-            )
 
     # ------------------------------------------------------------------
     # observation
@@ -478,18 +444,6 @@ class ClaimQueue:
             failed=rows.get(FAILED, 0),
             wait=max(0.0, (next_open or 0.0) - self.clock()),
         )
-
-    def done_ids(self) -> Set[str]:
-        """Units the journal records ``done`` (re-read, so appends by
-        other workers count) — the authority claimed units are checked
-        against before they run."""
-        if self.manifest is None:
-            return set()
-        return self.manifest.reload().done_ids()
-
-    def fetch_result(self, digest: str) -> None:
-        """Local results live in the shared cache, never in the queue."""
-        return None
 
     def live_leases(self) -> int:
         """Claimed units whose owner is plausibly still working."""

@@ -5,12 +5,12 @@ overridable with ``--runs-dir`` or ``REPRO_RUNS_DIR``) as::
 
     runs/<campaign-id>/
         spec.json        # the SweepSpec that created it (lossless)
-        manifest.jsonl   # append-only unit journal (resume state)
+        claims.sqlite    # claim rows + event journal (resume state)
         summary.json     # deterministic machine-readable results
         report.txt       # EXPERIMENTS-style rendered tables
 
 :class:`RunRegistry` is the read side of the campaign subsystem: it
-lists campaigns with folded manifest state, loads their specs and
+lists campaigns with their folded journal state, loads their specs and
 summaries, and garbage-collects directories (all, finished-only, or by
 id) — the CLI's ``repro sweep ls|status|report|gc``.
 """
@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.campaign.manifest import MANIFEST_NAME, Manifest, ManifestState
+from repro.campaign.manifest import ManifestState
 from repro.campaign.queue import CLAIMS_NAME, ClaimQueue
 from repro.campaign.runner import REPORT_NAME, SPEC_NAME, SUMMARY_NAME
 from repro.campaign.spec import SweepSpec
@@ -44,13 +45,13 @@ class CampaignInfo:
 
     campaign_id: str
     path: Path
-    total_units: int        #: from the manifest header (0 if unknown)
+    total_units: int        #: from the journal header (0 if unknown)
     done: int
     failed: int
     sessions: int
     complete: bool          #: every expected unit is done
     live_leases: int = 0    #: claim-queue leases whose owner looks alive
-    error: Optional[str] = None   #: unreadable manifest/queue, if any
+    error: Optional[str] = None   #: unreadable store, if any
 
     @property
     def status(self) -> str:
@@ -78,10 +79,11 @@ class RunRegistry:
         return self.root / campaign_id
 
     def exists(self, campaign_id: str) -> bool:
-        return (self.campaign_dir(campaign_id) / MANIFEST_NAME).exists()
+        return (self.campaign_dir(campaign_id) / CLAIMS_NAME).exists()
 
-    def manifest(self, campaign_id: str) -> Manifest:
-        return Manifest(self.campaign_dir(campaign_id) / MANIFEST_NAME)
+    def store(self, campaign_id: str) -> ClaimQueue:
+        """Open one campaign's store (journal, claim rows, leases)."""
+        return ClaimQueue(self.campaign_dir(campaign_id) / CLAIMS_NAME)
 
     def spec(self, campaign_id: str) -> SweepSpec:
         return SweepSpec.load(self.campaign_dir(campaign_id) / SPEC_NAME)
@@ -99,26 +101,15 @@ class RunRegistry:
         return path.read_text()
 
     # ------------------------------------------------------------------
-    def _live_leases(self, campaign_id: str) -> int:
-        """Live claim-queue leases, 0 when there is no queue (or it is
-        unreadable — an unreadable queue must not break ``ls``)."""
-        path = self.campaign_dir(campaign_id) / CLAIMS_NAME
-        if not path.exists():
-            return 0
-        try:
-            queue = ClaimQueue(path)
-            try:
-                return queue.live_leases()
-            finally:
-                queue.close()
-        except Exception:
-            return 0
-
     def info(self, campaign_id: str) -> CampaignInfo:
-        """Folded state of one campaign; an unreadable manifest yields
-        a ``corrupt`` row instead of an exception."""
+        """Folded state of one campaign; an unreadable store yields a
+        ``corrupt`` row instead of an exception."""
         try:
-            state = self.manifest(campaign_id).state()
+            with closing(self.store(campaign_id)) as store:
+                return self._info(
+                    campaign_id, store.manifest.state(),
+                    store.live_leases(),
+                )
         except Exception as exc:
             return CampaignInfo(
                 campaign_id=campaign_id,
@@ -127,10 +118,9 @@ class RunRegistry:
                 complete=False,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        return self._info_from_state(campaign_id, state)
 
-    def _info_from_state(
-        self, campaign_id: str, state: ManifestState
+    def _info(
+        self, campaign_id: str, state: ManifestState, live_leases: int,
     ) -> CampaignInfo:
         total = (state.header or {}).get("total_units", 0)
         done = len(state.done_ids)
@@ -143,23 +133,23 @@ class RunRegistry:
             failed=failed,
             sessions=state.sessions,
             complete=bool(total) and done >= total,
-            live_leases=self._live_leases(campaign_id),
+            live_leases=live_leases,
         )
 
     def list(self) -> List[CampaignInfo]:
-        """Every campaign under the root, newest manifest first."""
+        """Every campaign under the root, newest store first."""
         if not self.root.is_dir():
             return []
         rows: List[CampaignInfo] = []
         for entry in sorted(self.root.iterdir()):
-            if (entry / MANIFEST_NAME).exists():
+            if (entry / CLAIMS_NAME).exists():
                 rows.append(self.info(entry.name))
 
         def mtime(info: CampaignInfo) -> float:
-            # The manifest may vanish (gc race) or still be growing
-            # under concurrent workers; never let sorting crash ls.
+            # The store may vanish (gc race) or still be growing under
+            # concurrent workers; never let sorting crash ls.
             try:
-                return (info.path / MANIFEST_NAME).stat().st_mtime
+                return (info.path / CLAIMS_NAME).stat().st_mtime
             except OSError:
                 return 0.0
 
@@ -167,9 +157,14 @@ class RunRegistry:
         return rows
 
     def status(self, campaign_id: str) -> Dict[str, object]:
-        """Machine-friendly status blob (``repro sweep status``)."""
-        state = self.manifest(campaign_id).state()
-        info = self._info_from_state(campaign_id, state)
+        """Machine-friendly status blob (``repro sweep status``).
+
+        Raises :class:`~repro.campaign.queue.QueueError` for a store
+        this version cannot read."""
+        with closing(self.store(campaign_id)) as store:
+            state = store.manifest.state()
+            counts = store.counts()
+            info = self._info(campaign_id, state, store.live_leases())
         pending = max(0, info.total_units - info.done - info.failed)
         blob: Dict[str, object] = {
             "campaign": campaign_id,
@@ -181,24 +176,14 @@ class RunRegistry:
             "pending": pending,
             "sessions": info.sessions,
             "spec_digest": (state.header or {}).get("spec_digest"),
+            "queue": {
+                "open": counts.open,
+                "claimed": counts.claimed,
+                "done": counts.done,
+                "failed": counts.failed,
+                "live_leases": info.live_leases,
+            },
         }
-        queue_path = self.campaign_dir(campaign_id) / CLAIMS_NAME
-        if queue_path.exists():
-            try:
-                queue = ClaimQueue(queue_path)
-                try:
-                    counts = queue.counts()
-                    blob["queue"] = {
-                        "open": counts.open,
-                        "claimed": counts.claimed,
-                        "done": counts.done,
-                        "failed": counts.failed,
-                        "live_leases": queue.live_leases(),
-                    }
-                finally:
-                    queue.close()
-            except Exception:
-                pass
         if state.completes:
             last = dict(state.completes[-1])
             last.pop("event", None)

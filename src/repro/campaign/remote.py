@@ -30,7 +30,7 @@ first-writer-wins rule as :meth:`ResultCache.store`.  **Admissibility
 rule:** the server refuses ``complete`` for a digest it does not hold,
 so a journaled ``done`` always has its result bytes on the server and
 ``summary.json`` / ``report.txt`` stay byte-identical to a
-single-host run.
+single-host run.  Results never travel back to a worker.
 
 Cross-host lease semantics follow the ROADMAP: the server registers
 every client under a synthetic ``remote:<worker_id>`` host with pid 0,
@@ -56,11 +56,10 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Protocol, Set, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Protocol, Tuple, Union,
 )
 
 from repro.arch.simulator import SimulationResult
-from repro.campaign.manifest import Manifest
 from repro.campaign.queue import (
     CLAIMS_NAME,
     ClaimQueue,
@@ -112,9 +111,8 @@ class ClaimBackend(Protocol):
     journal fields (``wall``/``attempt``/``session``) and the backend
     appends inside its owner-guarded claim transaction — locally, or on
     the server.  ``complete`` also receives the ``result``: a local
-    queue ignores it (results travel through the shared cache) and its
-    ``fetch_result`` returns None; the network client ships it before
-    completing and fetches journaled results back.
+    queue ignores it (results travel through the shared cache); the
+    network client ships it before completing.
     """
 
     worker_id: str
@@ -133,12 +131,6 @@ class ClaimBackend(Protocol):
              backoff: float = 0.0, attempt: int = 1,
              session: int = 0) -> str: ...
 
-    def mark_done(self, unit_id: str) -> None: ...
-
-    def done_ids(self) -> Set[str]: ...
-
-    def fetch_result(self, digest: str) -> Optional[SimulationResult]: ...
-
     def counts(self) -> QueueCounts: ...
 
     def close(self) -> None: ...
@@ -151,7 +143,7 @@ class ClaimServer:
     """Front an on-disk campaign's claim queue for network workers.
 
     One instance per campaign.  Every dispatch is serialized behind a
-    single lock — the queue transactions and manifest appends are
+    single lock — the queue transactions and their journal inserts are
     short, and a coordination server for simulation campaigns is
     nowhere near lock-bound — which lets the HTTP threads share the
     per-worker SQLite connections safely.
@@ -184,13 +176,6 @@ class ClaimServer:
             )
         self.cache = ResultCache(self.options.cache_dir)
         self.clock = clock
-        self.manifest = Manifest(self.dir / "manifest.jsonl")
-        units = self.spec.expand()
-        self._unit_ids = [u.unit_id for u in units]
-        self.manifest.write_header(
-            campaign_id, self.spec.spec_digest(), len(units)
-        )
-        self._session = self.manifest.start_session(resume=True)
         self._lock = threading.RLock()
         self._queues: Dict[str, ClaimQueue] = {}
         #: per claiming worker: (last lease it claimed with, when it
@@ -204,26 +189,29 @@ class ClaimServer:
             "heartbeat": self._rpc_heartbeat,
             "complete": self._rpc_complete,
             "fail": self._rpc_fail,
-            "mark_done": self._rpc_mark_done,
             "counts": self._rpc_counts,
-            "done_ids": self._rpc_done_ids,
             "put_result": self._rpc_put_result,
-            "has_result": self._rpc_has_result,
-            "get_result": self._rpc_get_result,
         }
-        # The server's own queue identity: populate + reconcile so the
-        # campaign is drainable the moment the first worker says hello.
+        # The server's own store identity: journal the session, then
+        # populate so the campaign is drainable the moment the first
+        # worker says hello.
         q = self._queue_for(f"server:{socket.gethostname()}")
+        self.manifest = q.manifest
+        units = self.spec.expand()
+        self._unit_ids = [u.unit_id for u in units]
+        self.manifest.write_header(
+            campaign_id, self.spec.spec_digest(), len(units)
+        )
+        self._session = self.manifest.start_session(resume=True)
         q.populate(self._unit_ids, spec_digest=self.spec.spec_digest())
-        q.reconcile(self.manifest, reset_failed=True)
+        q.reopen_failed()
 
     # -- plumbing ------------------------------------------------------
     def _queue_for(self, worker: str) -> ClaimQueue:
         q = self._queues.get(worker)
         if q is None:
             q = ClaimQueue(
-                self.dir / CLAIMS_NAME, manifest=self.manifest,
-                worker_id=worker, clock=self.clock,
+                self.dir / CLAIMS_NAME, worker_id=worker, clock=self.clock,
                 check_same_thread=False,
             )
             # Network workers get a synthetic host and a pid no local
@@ -304,8 +292,7 @@ class ClaimServer:
                 "client spec digest does not match the served campaign "
                 f"({digest[:12]}... != {self.spec.spec_digest()[:12]}...)"
             )
-        q = self._queue_for(worker)
-        q.reconcile(self.manifest, reset_failed=True)
+        self._queue_for(worker).reopen_failed()
         session = self.manifest.start_session(resume=True)
         return {
             "campaign": self.campaign_id,
@@ -359,15 +346,8 @@ class ClaimServer:
         )
         return {"outcome": outcome}
 
-    def _rpc_mark_done(self, worker: str, params: dict) -> bool:
-        self._queue_for(worker).mark_done(params["unit_id"])
-        return True
-
     def _rpc_counts(self, worker: str, params: dict) -> dict:
         return dataclasses.asdict(self._queue_for(worker).counts())
-
-    def _rpc_done_ids(self, worker: str, params: dict) -> List[str]:
-        return sorted(self._queue_for(worker).done_ids())
 
     def _rpc_put_result(self, worker: str, params: dict) -> dict:
         digest = params["digest"]
@@ -391,17 +371,6 @@ class ClaimServer:
             )
         stored = self.cache.store(digest, result)
         return {"stored": stored}
-
-    def _rpc_has_result(self, worker: str, params: dict) -> bool:
-        return self.cache.load(params["digest"]) is not None
-
-    def _rpc_get_result(self, worker: str, params: dict) -> Optional[str]:
-        result = self.cache.load(params["digest"])
-        if result is None:
-            return None
-        return base64.b64encode(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
 
     # -- lifecycle -----------------------------------------------------
     def counts(self) -> QueueCounts:
@@ -446,7 +415,10 @@ class ClaimServer:
                 self.spec, root=self.root, campaign_id=self.campaign_id,
                 options=self.options,
             )
-            return runner._finalize(self.spec.expand(), self._session)
+            try:
+                return runner._finalize(self.spec.expand(), self._session)
+            finally:
+                runner.close()
 
     def serve_http(self, host: str = "127.0.0.1",
                    port: int = 0) -> "ServerHandle":
@@ -688,14 +660,8 @@ class RemoteClaimQueue:
         )
         return result["outcome"]
 
-    def mark_done(self, unit_id: str) -> None:
-        self._call("mark_done", {"unit_id": unit_id}, mutating=True)
-
     def counts(self) -> QueueCounts:
         return QueueCounts(**self._call("counts"))
-
-    def done_ids(self) -> set:
-        return set(self._call("done_ids"))
 
     # -- result shipping -----------------------------------------------
     def ship_result(self, digest: str, result: SimulationResult) -> bool:
@@ -707,22 +673,6 @@ class RemoteClaimQueue:
             "put_result", {"digest": digest, "blob": blob}
         )
         return bool(reply["stored"])
-
-    def has_result(self, digest: str) -> bool:
-        return bool(self._call("has_result", {"digest": digest}))
-
-    def fetch_result(self, digest: str) -> Optional[SimulationResult]:
-        blob = self._call("get_result", {"digest": digest})
-        if blob is None:
-            return None
-        try:
-            result = pickle.loads(base64.b64decode(blob))
-        except Exception as exc:
-            raise RemoteProtocolError(
-                f"undecodable result blob for {digest[:12]}...: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        return result
 
     def close(self) -> None:
         self.transport.close()

@@ -16,12 +16,13 @@ one cache namespace.  What the campaign layer adds:
   :class:`~repro.campaign.remote.RemoteClaimQueue`.  Workers claim
   units under a heartbeat lease, so a killed or hung worker's units
   return to the queue;
-* a **persistent manifest** (``manifest.jsonl``) the backend appends
-  inside its owner-guarded claim transaction, so each completion is
-  journaled exactly once and a ``SIGKILL``-ed campaign resumes exactly
-  where it stopped: manifest-``done`` units are never re-simulated
-  (their results come back through the warm disk cache), in-flight
-  units simply rerun;
+* a **journal** (:class:`~repro.campaign.manifest.Manifest`) in the
+  same store as the claim rows, which the backend writes inside its
+  owner-guarded claim transaction, so each completion is journaled
+  exactly once and a ``SIGKILL``-ed campaign resumes exactly where it
+  stopped: journaled-``done`` units are never re-simulated (their
+  results come back through the warm disk cache), in-flight units
+  simply rerun;
 * **chunked** execution bounding how much work an interruption can
   lose (a small chunk when serial, twice the worker count when
   pooled);
@@ -124,14 +125,17 @@ class WorkerResult:
 
 
 class CampaignRunner:
-    """Execute sweep units with manifest journaling and retries.
+    """Execute sweep units with journaling and retries.
 
-    ``root=None`` (with ``manifest=None``) runs fully in memory — no
-    campaign directory, an in-memory journal and claim queue — which is
-    exactly what the tuner's candidate evaluations need.  ``engine``
-    optionally injects an existing :class:`ParallelRunner` (shares its
-    in-memory result table); otherwise engines are created lazily per
-    ``(mesh, engine_profile)``.
+    The runner opens its campaign store once, on first use: the
+    directory's ``claims.sqlite``, or a ``":memory:"`` store when
+    ``root=None`` — no campaign directory, which is exactly what the
+    tuner's candidate evaluations need (the store outlives each
+    :meth:`submit`, so units shared between calls stay ``done``).
+    :meth:`close` releases it.  ``engine`` optionally injects an
+    existing :class:`ParallelRunner` (shares its in-memory result
+    table); otherwise engines are created lazily per
+    ``(mesh, engine_profile)`` and closed with the runner.
     """
 
     def __init__(
@@ -143,7 +147,6 @@ class CampaignRunner:
         options: Optional[RuntimeOptions] = None,
         base_cfg: ArchConfig = DEFAULT_CONFIG,
         engine: Optional[ParallelRunner] = None,
-        manifest: Optional[Manifest] = None,
         stats: Optional[RunnerStats] = None,
         chunk_size: Optional[int] = None,
         max_attempts: int = 3,
@@ -169,13 +172,19 @@ class CampaignRunner:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._sleep = sleep
-        self._slept = 0.0   #: seconds napped so far (in-memory clock)
-        if manifest is not None:
-            self.manifest = manifest
-        elif self.dir is not None:
-            self.manifest = Manifest(self.dir / "manifest.jsonl")
-        else:
-            self.manifest = Manifest(None)
+        #: seconds napped so far, the in-memory store's clock (a cell,
+        #: so the store's clock holds no reference back to the runner)
+        self._slept = [0.0]
+        self._queue: Optional[ClaimQueue] = None
+
+    def close(self) -> None:
+        """Close the campaign store and the engines this runner made."""
+        if self._queue is not None:
+            self._queue.close()
+            self._queue = None
+        for engine in self._engines.values():
+            engine.close()
+        self._engines.clear()
 
     # ------------------------------------------------------------------
     # plumbing
@@ -185,6 +194,24 @@ class CampaignRunner:
         if self.root is None or self.campaign_id is None:
             return None
         return self.root / self.campaign_id
+
+    @property
+    def queue(self) -> ClaimQueue:
+        """The campaign store, opened on first use."""
+        if self._queue is None:
+            if self.dir is not None:
+                self._queue = ClaimQueue(self.dir / CLAIMS_NAME)
+            else:
+                # One worker owns an in-memory table, so its clock only
+                # has to advance through our own naps.
+                slept = self._slept
+                self._queue = ClaimQueue(":memory:", clock=lambda: slept[0])
+        return self._queue
+
+    @property
+    def manifest(self) -> Manifest:
+        """The campaign journal (in :attr:`queue`'s store)."""
+        return self.queue.manifest
 
     def engine_for(self, unit: SweepUnit) -> ParallelRunner:
         if self._shared_engine is not None:
@@ -206,7 +233,7 @@ class CampaignRunner:
             return max(1, int(self.chunk_size))
         if not self.options.parallel:
             # A small serial chunk bounds what an interruption can lose
-            # while keeping claim/reload transactions per unit low.
+            # while keeping claim transactions per unit low.
             return 8
         return max(1, 2 * self.options.effective_jobs)
 
@@ -216,7 +243,7 @@ class CampaignRunner:
         )
 
     def _nap(self, seconds: float) -> None:
-        self._slept += seconds
+        self._slept[0] += seconds
         self._sleep(seconds)
 
     # ------------------------------------------------------------------
@@ -230,42 +257,34 @@ class CampaignRunner:
     ) -> Dict[str, SimulationResult]:
         """Resolve every unit to a result; journal as units finish.
 
-        The units drain through an in-memory claim queue over this
-        runner's manifest.  Units the manifest already marks ``done``
-        are *not* counted as new work — they resolve through the (warm)
-        cache layers without a fresh journal entry, which is what makes
-        resume idempotent.  Returns ``unit_id -> SimulationResult`` for
-        every unit that succeeded (failed units are journaled and
-        skipped).
+        The units drain through this runner's store.  Units the journal
+        already marks ``done`` are *not* counted as new work — they
+        resolve through the (warm) cache layers without a fresh journal
+        entry, which is what makes resume idempotent.  Returns
+        ``unit_id -> SimulationResult`` for every unit that succeeded
+        (failed units are journaled and skipped).
         """
         if session is None:
             session = self.manifest.start_session()
-        # One worker owns the table, so its clock only has to advance
-        # through our own naps, and an empty claim can only mean a retry
+        self._populate(units)
+        # An empty claim on an in-memory store can only mean a retry
         # backoff: wait out exactly that (never longer than the cap).
-        queue = self._local_queue(
-            ":memory:", units, clock=lambda: self._slept
+        results = self._drain(
+            self.queue, units, session,
+            poll=self.backoff_cap if self.dir is None else None,
         )
-        with closing(queue):
-            results = self._drain(
-                queue, units, session, poll=self.backoff_cap
-            )
         return self._resolve_rest(units, results)
 
-    def _local_queue(self, path: Union[str, Path],
-                     units: Sequence[SweepUnit], **kwargs) -> ClaimQueue:
-        """A SQLite claim queue journaling into our manifest, holding a
-        row per unit and reconciled against the journal (failed units
-        reopened for a fresh attempt budget)."""
-        queue = ClaimQueue(path, manifest=self.manifest, **kwargs)
-        queue.populate(
+    def _populate(self, units: Sequence[SweepUnit]) -> None:
+        """Give every unit a claim row and reopen failed units for a
+        fresh attempt budget."""
+        self.queue.populate(
             [u.unit_id for u in units],
             spec_digest=(
                 self.spec.spec_digest() if self.spec is not None else None
             ),
         )
-        queue.reconcile(self.manifest, reset_failed=True)
-        return queue
+        self.queue.reopen_failed()
 
     def _drain(
         self,
@@ -316,21 +335,12 @@ class CampaignRunner:
         runs, and per unit only when the group falls back to per-unit
         reruns (each rerun is a fresh stretch of work).
         """
-        # Crash-window repair: a unit can be journaled ``done`` while
-        # its claim-row commit was lost (the writer died between the
-        # manifest append and the sqlite COMMIT).  The journal is the
-        # authority — repair the row and resolve the result instead of
-        # re-running and double-journaling.
-        done_now = queue.done_ids()
         groups: Dict[tuple, List[tuple]] = {}
         for cu in batch:
             unit = by_id.get(cu.unit_id)
             if unit is None:
                 queue.fail(cu.unit_id, "unit not in spec", max_attempts=0,
                            attempt=cu.attempt, session=session)
-            elif cu.unit_id in done_now:
-                queue.mark_done(cu.unit_id)
-                results[cu.unit_id] = self._resolve_done(queue, unit)
             else:
                 groups.setdefault(
                     (unit.mesh, unit.engine_profile), []
@@ -373,31 +383,15 @@ class CampaignRunner:
                 # else: our lease was reclaimed mid-run — the winner
                 # journals; our result stays in the shared cache.
 
-    def _resolve_done(self, queue: ClaimBackend,
-                      unit: SweepUnit) -> SimulationResult:
-        """Resolve an already-journaled unit to its result.
-
-        A remote backend may hold the only copy — fetch it (priming our
-        cache when we have one) rather than re-simulating; otherwise
-        the warm shared cache answers.
-        """
-        key = unit.job_key(self.base_cfg)
-        engine = self.engine_for(unit)
-        fetched = queue.fetch_result(key.cache_digest())
-        if fetched is not None:
-            engine.cache.store(key.cache_digest(), fetched)
-            return fetched
-        return engine.run(key)
-
     def _resolve_rest(
         self,
         units: Sequence[SweepUnit],
         results: Dict[str, SimulationResult],
     ) -> Dict[str, SimulationResult]:
-        """Add every manifest-done unit this drain did not produce
+        """Add every journaled-done unit this drain did not produce
         (earlier sessions, other workers) through the (warm) cache, so
         the caller sees every done unit."""
-        done = self.manifest.reload().done_ids()
+        done = self.manifest.done_ids()
         for unit in units:
             if unit.unit_id in done and unit.unit_id not in results:
                 results[unit.unit_id] = self.engine_for(unit).run(
@@ -405,30 +399,7 @@ class CampaignRunner:
                 )
         return results
 
-    def _run_shared(
-        self,
-        units: Sequence[SweepUnit],
-        *,
-        session: int,
-        workers: int,
-        lease: float = DEFAULT_LEASE,
-        poll: float = DEFAULT_POLL,
-    ) -> Dict[str, SimulationResult]:
-        """Drive an on-disk campaign through the claim queue."""
-        queue = self._local_queue(self.dir / CLAIMS_NAME, units)
-        with closing(queue):
-            if workers > 1:
-                self._spawn_workers(workers, lease, poll)
-                queue.reconcile(self.manifest)
-            # Drain (sole worker when workers == 1; the safety net that
-            # reclaims a crashed child's leftovers otherwise).
-            results = self._drain(
-                queue, units, session, lease=lease, poll=poll
-            )
-        return self._resolve_rest(units, results)
-
-    def _spawn_workers(self, workers: int, lease: float,
-                       poll: float) -> None:
+    def _spawn_workers(self, workers: int) -> None:
         """Fork ``workers`` child worker processes and join them."""
         import multiprocessing as mp
 
@@ -438,8 +409,7 @@ class CampaignRunner:
                 target=_worker_process,
                 args=(str(self.root),
                       self.campaign_id or self.spec.campaign_id,
-                      self.options, self.base_cfg, self.max_attempts,
-                      lease, poll),
+                      self.options, self.base_cfg, self.max_attempts),
             )
             for _ in range(workers)
         ]
@@ -463,7 +433,7 @@ class CampaignRunner:
         worker`` CLI) additionally materializes ``summary.json`` /
         ``report.txt`` when every unit is terminal — the artifacts are
         a pure function of the results, so a parent runner writing them
-        concurrently produces identical bytes.
+        concurrently produces identical bytes.  Closes the runner.
         """
         if self.spec is None:
             raise CampaignError("attach_worker needs a SweepSpec")
@@ -478,25 +448,25 @@ class CampaignRunner:
                 "(set cache_dir; --no-cache cannot share results)"
             )
         units = self.spec.expand()
-        self.manifest.write_header(
-            self.campaign_id or self.spec.campaign_id,
-            self.spec.spec_digest(), len(units),
-        )
-        session = self.manifest.start_session(resume=True)
-        queue = self._local_queue(
-            cdir / CLAIMS_NAME, units, worker_id=worker_id
-        )
-        with closing(queue):
-            results = self._drain(
-                queue, units, session, lease=lease, poll=poll
+        try:
+            if worker_id is not None:
+                self.queue.worker_id = worker_id
+            self.manifest.write_header(
+                self.campaign_id or self.spec.campaign_id,
+                self.spec.spec_digest(), len(units),
             )
-        finalized = False
-        if finalize:
-            finalized = self._finalize(units, session)
-        return WorkerResult(
-            worker_id=queue.worker_id, results=results,
-            stats=self.stats, finalized=finalized,
-        )
+            session = self.manifest.start_session(resume=True)
+            self._populate(units)
+            results = self._drain(
+                self.queue, units, session, lease=lease, poll=poll
+            )
+            finalized = finalize and self._finalize(units, session)
+            return WorkerResult(
+                worker_id=self.queue.worker_id, results=results,
+                stats=self.stats, finalized=finalized,
+            )
+        finally:
+            self.close()
 
     def attach_remote(
         self,
@@ -547,7 +517,7 @@ class CampaignRunner:
 
     def _finalize(self, units: Sequence[SweepUnit], session: int) -> bool:
         """Write summary/report if every unit is terminal (else False)."""
-        state = self.manifest.reload().state()
+        state = self.manifest.state()
         if any(
             state.unit(u.unit_id).status not in ("done", "failed")
             for u in units
@@ -564,7 +534,7 @@ class CampaignRunner:
     ) -> Tuple[dict, str, ManifestState]:
         """Summarize ``results``, write the artifacts (on-disk
         campaigns) and journal the session's ``complete`` marker."""
-        state = self.manifest.reload().state()
+        state = self.manifest.state()
         summary = self._summarize(units, results, state)
         report = self._render_report(summary)
         if self.dir is not None:
@@ -628,12 +598,16 @@ class CampaignRunner:
             self.spec.spec_digest(), len(units),
         )
         session = self.manifest.start_session(resume=resume)
-        if cdir is None:
-            results = self.submit(units, session=session)
-        else:
-            results = self._run_shared(
-                units, session=session, workers=workers
+        if workers > 1:
+            self._populate(units)
+            self._spawn_workers(workers)
+            # Our own drain reclaims whatever a crashed child left
+            # behind; units the children failed for good stay failed.
+            results = self._resolve_rest(
+                units, self._drain(self.queue, units, session)
             )
+        else:
+            results = self.submit(units, session=session)
 
         summary, report, state = self._materialize(units, results, session)
         return CampaignResult(
@@ -658,15 +632,14 @@ class CampaignRunner:
             spec_path.write_text(
                 json.dumps(spec_dict, indent=2, sort_keys=True) + "\n"
             )
-        has_progress = bool(self.manifest.state().units)
-        if has_progress and not resume:
+        if resume and not (cdir / CLAIMS_NAME).exists():
+            raise CampaignError(
+                f"campaign {cdir.name!r} has no manifest to resume"
+            )
+        if self.manifest.state().units and not resume:
             raise CampaignError(
                 f"campaign {cdir.name!r} already has progress; use "
                 "'repro sweep resume' to continue it"
-            )
-        if resume and not (cdir / "manifest.jsonl").exists():
-            raise CampaignError(
-                f"campaign {cdir.name!r} has no manifest to resume"
             )
 
     # ------------------------------------------------------------------
@@ -863,14 +836,11 @@ def _worker_process(
     options: RuntimeOptions,
     base_cfg: ArchConfig,
     max_attempts: int,
-    lease: float,
-    poll: float,
 ) -> None:
     """Child entrypoint for ``run(workers=N)`` (spawn context)."""
     spec = SweepSpec.load(Path(root) / campaign_id / SPEC_NAME)
-    runner = CampaignRunner(
+    CampaignRunner(
         spec, root=root, campaign_id=campaign_id, options=options,
         base_cfg=base_cfg, max_attempts=max_attempts,
-    )
-    runner.attach_worker(lease=lease, poll=poll)
+    ).attach_worker()
 

@@ -41,8 +41,9 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 #: Wire-protocol version; ``hello`` rejects a mismatched client.  v2:
 #: ``counts`` replies carry ``wait``; ``populate``/``reconcile`` are
-#: server-side only.
-WIRE_VERSION = 2
+#: server-side only.  v3: the journal moved into the claim store, and
+#: the RPCs that repaired the two stores' divergence are gone.
+WIRE_VERSION = 3
 
 #: The RPC endpoint every request POSTs to.
 RPC_PATH = "/rpc"

@@ -542,8 +542,8 @@ def _cmd_sweep_serve(args: argparse.Namespace) -> int:
     if not campaign:
         print("error: give a CAMPAIGN id or --spec FILE", file=sys.stderr)
         return 2
-    # A fresh campaign has a spec but no manifest yet (the server
-    # writes the header) — existence here means spec.json.
+    # A fresh campaign has a spec but no store yet (the server
+    # creates it) — existence here means spec.json.
     if not (registry.campaign_dir(campaign) / "spec.json").exists():
         print(f"error: no campaign {campaign!r} under {registry.root}",
               file=sys.stderr)
@@ -581,14 +581,18 @@ def _cmd_sweep_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_status(args: argparse.Namespace) -> int:
-    from repro.campaign import RunRegistry
+    from repro.campaign import QueueError, RunRegistry
 
     registry = RunRegistry(args.runs_dir)
     if not registry.exists(args.campaign):
         print(f"error: no campaign {args.campaign!r} under "
               f"{registry.root}", file=sys.stderr)
         return 2
-    blob = registry.status(args.campaign)
+    try:
+        blob = registry.status(args.campaign)
+    except QueueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(blob, indent=2, sort_keys=True))
     else:

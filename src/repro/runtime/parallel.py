@@ -25,13 +25,16 @@ Failure handling is one ladder (:meth:`ParallelRunner._run_pool`):
   times, after which whatever is left runs in-process — the batch
   always completes;
 * every fallback appends its cause to ``RunnerStats.fallbacks``;
-* ``jobs=1`` (the default) never creates a pool at all.
+* ``jobs=1`` (the default) never creates a pool at all;
+* a pool worker exits on its own when its parent dies (a SIGKILLed
+  parent cannot shut its pool down).
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -229,6 +232,21 @@ def execute_job(
     return sim.run(trace)
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: a daemon thread exits the worker once
+    its parent dies (re-parented, it would wait for work forever and
+    hold open every pipe it inherited)."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-orphan-watch",
+                     daemon=True).start()
+
+
 def _pool_worker(
     payload: Tuple[ArchConfig, JobKey, str],
 ) -> Tuple[SimulationResult, float]:
@@ -412,7 +430,9 @@ class ParallelRunner:
             singles: List[List[JobKey]] = []
             try:
                 workers = min(opts.effective_jobs, len(chunks))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with ProcessPoolExecutor(
+                    max_workers=workers, initializer=_exit_with_parent,
+                ) as pool:
                     futures = [(c, self._submit(pool, c)) for c in chunks]
                     for chunk, fut in futures:
                         timeout = (

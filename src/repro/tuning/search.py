@@ -19,7 +19,7 @@ stable, and ties break on the tunables digest — ``tests/test_tuning.py``
 pins that the same seed and grid always elect the same winner.
 
 Candidate evaluations are submitted as **campaign units** through
-:class:`~repro.campaign.CampaignRunner` (an in-memory manifest over the
+:class:`~repro.campaign.CampaignRunner` (an in-memory store over the
 shared :class:`~repro.runtime.parallel.ParallelRunner` engine) — the
 same path ``repro sweep`` uses — so repeated evaluations (and the
 shared baselines, whose job keys carry no tunables) are served from
@@ -175,7 +175,7 @@ class Tuner:
         self._log: List[str] = []
         # Candidate evaluations go through the campaign runner (the
         # same submission path as `repro sweep`), with an in-memory
-        # manifest and no retries — a deterministic simulator failure
+        # store and no retries — a deterministic simulator failure
         # should surface, not be retried.
         from repro.campaign import CampaignRunner
 
@@ -191,6 +191,7 @@ class Tuner:
             self._progress(msg)
 
     def close(self) -> None:
+        self.campaign.close()
         if self._owns_engine:
             self.engine.close()
 

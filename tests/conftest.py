@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.arch.engine import REFERENCE
@@ -49,6 +52,24 @@ class FakeClock:
 @pytest.fixture
 def fake_clock() -> FakeClock:
     return FakeClock()
+
+
+def done_events(store) -> dict:
+    """unit_id -> number of ``done`` events in a campaign store's
+    journal (the double-done probe).  Opens the store read-only, so it
+    is safe beside live writers; a store not created yet reads empty."""
+    try:
+        db = sqlite3.connect(f"file:{store}?mode=ro", uri=True)
+    except sqlite3.OperationalError:
+        return {}
+    with closing(db):
+        try:
+            return dict(db.execute(
+                "SELECT unit, COUNT(*) FROM journal"
+                " WHERE kind='unit' AND status='done' GROUP BY unit"
+            ).fetchall())
+        except sqlite3.OperationalError:
+            return {}
 
 
 def commit_ahead_simulator(cfg: ArchConfig, scheme=None) -> SystemSimulator:

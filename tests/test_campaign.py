@@ -4,23 +4,26 @@ The acceptance-critical pin lives in :class:`TestJobKeyParity`: the
 campaign layer derives the **same** cache digests as
 :class:`~repro.analysis.experiments.ExperimentRunner` for every lineup
 bar — the cache schema stays v3 and a sweep shares cache entries with
-interactive drivers.  The rest covers spec expansion/serde, manifest
-journaling (including torn trailing lines), runner execution with
-failure isolation + capped backoff, resume idempotence, and the run
-registry.
+interactive drivers.  The rest covers spec expansion/serde, the
+journal in the campaign store, runner execution with failure isolation
++ capped backoff, resume idempotence, refusal of stores from before the
+journal moved in, and the run registry.
 """
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.analysis.experiments import ExperimentRunner
 from repro.campaign import (
     BASELINE_LABEL,
+    CLAIMS_NAME,
     CampaignError,
     CampaignInfo,
     CampaignRunner,
-    Manifest,
+    ClaimQueue,
+    QueueError,
     RunRegistry,
     SweepSpec,
     SweepUnit,
@@ -213,11 +216,16 @@ class TestSweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Manifest: append-only journal, folding, torn lines
+# Manifest: the journal table of a campaign store, folding
 # ---------------------------------------------------------------------------
+def _journal():
+    """The journal of a fresh in-memory campaign store."""
+    return ClaimQueue(":memory:").manifest
+
+
 class TestManifest:
     def test_in_memory_fold(self):
-        m = Manifest(None)
+        m = _journal()
         m.write_header("c", "digest", 2)
         s = m.start_session()
         m.record_done("u1", "d1", 0.5, 1, s)
@@ -230,44 +238,32 @@ class TestManifest:
         assert st.header["total_units"] == 2
 
     def test_last_event_wins(self):
-        m = Manifest(None)
+        m = _journal()
         m.record_failed("u1", "boom", 1, 1)
         m.record_done("u1", "d1", 0.1, 2, 1)
         st = m.state().unit("u1")
         assert st.done and st.error is None and st.attempts == 2
 
     def test_header_idempotent(self):
-        m = Manifest(None)
+        m = _journal()
         m.write_header("c", "d", 2)
         m.write_header("c", "d", 2)
         assert sum(
-            1 for e in m._lines if e.get("event") == "header"
+            1 for e in m.events() if e.get("event") == "header"
         ) == 1
 
     def test_persists_and_replays(self, tmp_path):
-        path = tmp_path / "manifest.jsonl"
-        m = Manifest(path)
+        path = tmp_path / CLAIMS_NAME
+        q = ClaimQueue(path)
+        m = q.manifest
         m.write_header("c", "digest", 1)
         s = m.start_session()
         m.record_done("u1", "d1", 0.25, 1, s)
-        again = Manifest(path)
-        assert again.done_ids() == {"u1"}
-        assert again.sessions == 1
-
-    def test_torn_trailing_line_ignored(self, tmp_path):
-        """SIGKILL mid-write leaves a torn line; replay must survive."""
-        path = tmp_path / "manifest.jsonl"
-        m = Manifest(path)
-        m.write_header("c", "digest", 2)
-        s = m.start_session()
-        m.record_done("u1", "d1", 0.25, 1, s)
-        with path.open("a") as fh:
-            fh.write('{"event": "unit", "status": "done", "unit": "u2"')
-        again = Manifest(path)
-        assert again.done_ids() == {"u1"}, "torn unit must stay pending"
-        # The journal is still appendable after a torn tail.
-        again.record_done("u2", "d2", 0.1, 1, s)
-        assert Manifest(path).done_ids() == {"u1", "u2"}
+        q.close()
+        again = ClaimQueue(path)
+        assert again.manifest.done_ids() == {"u1"}
+        assert again.manifest.sessions == 1
+        again.close()
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +409,7 @@ class TestCampaignDirectory:
                              options=opts).run()
         cdir = tmp_path / "runs" / "dir-demo"
         assert res.root == cdir
-        for name in ("spec.json", "manifest.jsonl", "summary.json",
+        for name in ("spec.json", CLAIMS_NAME, "summary.json",
                      "report.txt"):
             assert (cdir / name).exists(), name
         assert SweepSpec.load(cdir / "spec.json") == spec
@@ -471,25 +467,29 @@ class TestCampaignDirectory:
         assert state.sessions == 2
 
     def test_resume_skips_done_units_via_manifest(self, tmp_path):
-        """A partial manifest's done units are never re-journaled."""
+        """A partial journal's done units are never re-journaled."""
         spec, opts = self._spec(), self._options(tmp_path)
         root = tmp_path / "runs"
-        # Produce a complete campaign, then rewind its manifest to the
-        # first done unit (exactly what a kill mid-flight leaves).
+        # Produce a complete campaign, then rewind its store to the
+        # first done unit (exactly what a kill mid-flight leaves): the
+        # later unit events and the complete marker go, and so do the
+        # later units' claim rows.
         CampaignRunner(spec, root=root, options=opts).run()
-        mpath = root / "dir-demo" / "manifest.jsonl"
-        lines = mpath.read_text().splitlines()
-        keep, done_seen = [], 0
-        for line in lines:
-            event = json.loads(line)
-            if event.get("event") == "unit":
-                done_seen += 1
-                if done_seen > 1:
-                    continue
-            if event.get("event") == "complete":
-                continue
-            keep.append(line)
-        mpath.write_text("\n".join(keep) + "\n")
+        db = sqlite3.connect(root / "dir-demo" / CLAIMS_NAME)
+        (first,) = db.execute(
+            "SELECT MIN(seq) FROM journal WHERE kind='unit'"
+        ).fetchone()
+        db.execute(
+            "DELETE FROM journal WHERE (kind='unit' AND seq>?)"
+            " OR kind='complete'", (first,),
+        )
+        db.execute(
+            "UPDATE units SET status='open', owner=NULL, attempts=0"
+            " WHERE unit_id NOT IN (SELECT unit FROM journal"
+            " WHERE kind='unit')"
+        )
+        db.commit()
+        db.close()
         (root / "dir-demo" / "summary.json").unlink()
 
         res = CampaignRunner(spec, root=root, options=opts).run(
@@ -501,6 +501,42 @@ class TestCampaignDirectory:
         assert res.stats.executed == 0, \
             "warm cache must serve the rewound units"
         assert (root / "dir-demo" / "summary.json").exists()
+
+    def test_resume_refuses_a_store_without_journal(self, tmp_path):
+        """A store written before the journal moved in (a claim table
+        with every row ``done``, no journal table, ``manifest.jsonl``
+        beside it) must be refused, not resumed as an empty journal:
+        the artifacts stay untouched."""
+        spec, opts = self._spec(), self._options(tmp_path)
+        cdir = tmp_path / "runs" / "dir-demo"
+        cdir.mkdir(parents=True)
+        (cdir / "spec.json").write_text(
+            json.dumps(spec.to_json_dict(), indent=2, sort_keys=True)
+        )
+        db = sqlite3.connect(cdir / CLAIMS_NAME)
+        db.execute("CREATE TABLE units (unit_id TEXT PRIMARY KEY,"
+                   " status TEXT NOT NULL DEFAULT 'open')")
+        db.executemany(
+            "INSERT INTO units VALUES (?, 'done')",
+            [(u.unit_id,) for u in spec.expand()],
+        )
+        db.commit()
+        db.close()
+        (cdir / "manifest.jsonl").write_text(
+            '{"event": "header", "total_units": 4}\n'
+        )
+        (cdir / "summary.json").write_text('{"completed_units": 4}\n')
+
+        with pytest.raises(QueueError, match="new name"):
+            CampaignRunner(spec, root=cdir.parent, options=opts).run(
+                resume=True
+            )
+        assert (cdir / "summary.json").read_text() \
+            == '{"completed_units": 4}\n'
+        registry = RunRegistry(cdir.parent)
+        assert registry.info("dir-demo").status == "corrupt"
+        with pytest.raises(QueueError, match=CLAIMS_NAME):
+            registry.status("dir-demo")
 
 
 # ---------------------------------------------------------------------------

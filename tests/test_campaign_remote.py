@@ -24,7 +24,7 @@ Layers, bottom up:
   exactly once;
 * **exactly-once property** — hypothesis drives whole campaigns under
   arbitrary fault schedules: any schedule must yield exactly one
-  ``done`` journal line per unit and artifacts byte-identical to the
+  ``done`` journal event per unit and artifacts byte-identical to the
   no-fault control;
 * **partition** — a worker that loses connectivity mid-lease: the
   reclaiming winner journals, the loser's late ``complete`` is refused
@@ -51,11 +51,14 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import done_events
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import (
+    CLAIMS_NAME,
     CampaignRunner,
+    ClaimQueue,
     ClaimServer,
     FaultPlan,
     FaultyTransport,
@@ -105,17 +108,13 @@ def _client(server: ClaimServer, plan: FaultPlan = None,
     return RemoteClaimQueue(transport, **kw)
 
 
-def _done_rows(manifest_path: Path) -> dict:
-    """unit_id -> number of ``done`` journal lines (double-done probe)."""
-    counts: dict = {}
-    for line in manifest_path.read_text().splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if event.get("event") == "unit" and event.get("status") == "done":
-            counts[event["unit"]] = counts.get(event["unit"], 0) + 1
-    return counts
+def _journal(cdir: Path) -> list:
+    """Every event journaled in a campaign directory's store."""
+    q = ClaimQueue(cdir / CLAIMS_NAME)
+    try:
+        return q.manifest.events()
+    finally:
+        q.close()
 
 
 @pytest.fixture(scope="module")
@@ -406,7 +405,7 @@ class TestWireProtocol:
 
     def test_complete_refused_for_unshipped_digest(self, tmp_path):
         """The admissibility rule — and a refused complete must leave
-        no journal line and keep the unit claimed."""
+        no journal event and keep the unit claimed."""
         server = self._server(tmp_path)
         q = _client(server, worker_id="host-a")
         q.hello()
@@ -414,7 +413,7 @@ class TestWireProtocol:
         assert claimed
         with pytest.raises(QueueError, match="not shipped"):
             q.complete(claimed[0].unit_id, "ab" * 32)
-        assert _done_rows(server.dir / "manifest.jsonl") == {}
+        assert done_events(server.dir / CLAIMS_NAME) == {}
         assert q.counts().claimed == 1
         server.close()
 
@@ -436,14 +435,12 @@ class TestWireProtocol:
         server = self._server(tmp_path)
         q = _client(server)
         (unit, digest, result) = self._warm_results(warm_cache)[0]
-        assert not q.has_result(digest)
-        assert q.fetch_result(digest) is None
+        assert server.cache.load(digest) is None
         assert q.ship_result(digest, result) is True
         assert q.ship_result(digest, result) is False  # second writer
-        assert q.has_result(digest)
-        fetched = q.fetch_result(digest)
-        assert fetched == result
-        assert fetched.cycles == result.cycles
+        stored = server.cache.load(digest)
+        assert stored == result
+        assert stored.cycles == result.cycles
         server.close()
 
     def test_idempotency_token_replays_the_recorded_reply(
@@ -491,7 +488,7 @@ class TestWireProtocol:
             cu.unit_id, digest, wall=0.5, attempt=cu.attempt, session=1,
         )
         assert committed is True
-        rows = _done_rows(server.dir / "manifest.jsonl")
+        rows = done_events(server.dir / CLAIMS_NAME)
         assert rows == {cu.unit_id: 1}
         assert server.counts().done == 1
         server.close()
@@ -528,7 +525,7 @@ class TestExactlyOnceUnderFaults:
             self, schedule, warm_cache, control_artifacts):
         """Drain a whole campaign through a remote worker with an
         arbitrary injected fault prefix: every unit must come out with
-        exactly one ``done`` journal line and artifacts byte-identical
+        exactly one ``done`` journal event and artifacts byte-identical
         to the no-fault control."""
         spec = SweepSpec(**SPEC2)
         with tempfile.TemporaryDirectory() as tmp:
@@ -547,7 +544,7 @@ class TestExactlyOnceUnderFaults:
                 out = runner.attach_remote(queue, poll=0.0)
                 units = spec.expand()
                 assert len(out.results) == len(units)
-                rows = _done_rows(server.dir / "manifest.jsonl")
+                rows = done_events(server.dir / CLAIMS_NAME)
                 assert rows == {u.unit_id: 1 for u in units}
                 counts = server.counts()
                 assert counts.done == len(units) and counts.active == 0
@@ -598,7 +595,7 @@ class TestExactlyOnceUnderFaults:
                 for w in workers:
                     resolved |= set(w.results)
                 assert resolved == {u.unit_id for u in units}
-                rows = _done_rows(server.dir / "manifest.jsonl")
+                rows = done_events(server.dir / CLAIMS_NAME)
                 assert rows == {u.unit_id: 1 for u in units}
                 assert server.finalize()
                 control = control_artifacts[SPEC6["name"]]
@@ -663,11 +660,9 @@ class TestLeaseExpiryUnderPartition:
             assert a.complete(
                 cu.unit_id, digest, attempt=cu.attempt, session=1,
             ) is False
-        rows = _done_rows(server.dir / "manifest.jsonl")
+        rows = done_events(server.dir / CLAIMS_NAME)
         assert rows == {uid: 1 for uid in units}
-        for line in (server.dir / "manifest.jsonl").read_text(
-                ).splitlines():
-            event = json.loads(line)
+        for event in _journal(server.dir):
             if event.get("event") == "unit":
                 assert event["attempt"] == 2, \
                     "only the reclaiming winner may journal"
@@ -785,8 +780,8 @@ class TestRemoteDrain:
 
     def test_late_worker_on_drained_campaign_resolves_via_server(
             self, tmp_path, warm_cache):
-        """A worker that attaches after the campaign is done fetches
-        journaled results from the server instead of re-simulating."""
+        """A worker that attaches after the campaign is done finds
+        nothing to claim: it re-simulates and journals nothing."""
         spec = SweepSpec(**SPEC2)
         _make_campaign(tmp_path / "runs", spec)
         server = ClaimServer(
@@ -800,10 +795,11 @@ class TestRemoteDrain:
 
         late_runner = CampaignRunner(None, options=RuntimeOptions())
         late = late_runner.attach_remote(_client(server), poll=0.0)
+        assert late.results == {}
         assert late_runner.stats.executed == 0, \
             "a late remote worker must not re-simulate done units"
         assert server.counts().done == len(spec.expand())
-        rows = _done_rows(server.dir / "manifest.jsonl")
+        rows = done_events(server.dir / CLAIMS_NAME)
         assert all(n == 1 for n in rows.values())
         server.close()
 
@@ -834,10 +830,7 @@ class TestDrainIdentity:
             return (
                 (cdir / "summary.json").read_bytes(),
                 (cdir / "report.txt").read_bytes(),
-                unit_events(
-                    json.loads(line) for line in
-                    (cdir / "manifest.jsonl").read_text().splitlines()
-                ),
+                unit_events(_journal(cdir)),
             )
 
         memory = CampaignRunner(spec, options=RuntimeOptions())
@@ -846,7 +839,7 @@ class TestDrainIdentity:
             (json.dumps(res.summary, indent=2, sort_keys=True)
              + "\n").encode(),
             (res.report + "\n").encode(),
-            unit_events(memory.manifest._lines),
+            unit_events(memory.manifest.events()),
         )}
 
         CampaignRunner(
@@ -935,7 +928,7 @@ class TestTwoHostKillOne:
             options=RuntimeOptions(cache_dir=str(tmp_path / "scache")),
         )
         handle = server.serve_http("127.0.0.1", 0)
-        manifest_path = server.dir / "manifest.jsonl"
+        store = server.dir / CLAIMS_NAME
         total = len(spec.expand())
         victim = survivor = None
         try:
@@ -944,7 +937,7 @@ class TestTwoHostKillOne:
             )
             deadline = time.time() + 180
             while time.time() < deadline:
-                if _done_rows(manifest_path) or victim.poll() is not None:
+                if done_events(store) or victim.poll() is not None:
                     break
                 time.sleep(0.05)
             assert victim.poll() is None, \
@@ -968,7 +961,7 @@ class TestTwoHostKillOne:
             handle.close()
             server.close()
 
-        rows = _done_rows(manifest_path)
+        rows = done_events(store)
         assert len(rows) == total
         assert all(n == 1 for n in rows.values()), rows
         control = control_artifacts[SPEC6["name"]]

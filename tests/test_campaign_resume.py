@@ -4,14 +4,16 @@ A real child process runs a campaign, gets ``SIGKILL``\\ ed mid-flight
 (after at least one unit has been journaled), and the parent resumes
 it.  The acceptance bar:
 
-* every unit the manifest already marked ``done`` is **never
+* every unit the journal already marked ``done`` is **never
   re-simulated** (it gains no new journal row and resolves through the
   warm disk cache);
 * the resumed campaign's ``summary.json`` / ``report.txt`` are
   **byte-identical** to an uninterrupted control run of the same spec.
 
 The child deliberately slows the journal (0.4 s after each ``done``
-row) so the kill reliably lands between units on any machine.
+row, before its transaction commits) so the kill reliably lands while
+the campaign is mid-flight on any machine; a unit whose transaction
+the kill cuts short is neither done nor journaled, and simply reruns.
 """
 
 import json
@@ -23,8 +25,9 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import done_events
 
-from repro.campaign import CampaignRunner, Manifest, SweepSpec
+from repro.campaign import CLAIMS_NAME, CampaignRunner, ClaimQueue, SweepSpec
 from repro.runtime import RuntimeOptions
 
 SCALE = 0.08
@@ -62,25 +65,11 @@ CampaignRunner(
 """ % SCALE
 
 
-def _count_done(manifest_path: Path) -> int:
-    if not manifest_path.exists():
-        return 0
-    n = 0
-    for line in manifest_path.read_text().splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if event.get("event") == "unit" and event.get("status") == "done":
-            n += 1
-    return n
-
-
 @pytest.mark.slow
 def test_sigkill_then_resume_recomputes_nothing(tmp_path):
     root = tmp_path / "runs"
     cache = tmp_path / "cache"
-    manifest_path = root / "killme" / "manifest.jsonl"
+    store = root / "killme" / CLAIMS_NAME
     spec = SweepSpec(**SPEC)
     total = len(spec.expand())
     assert total == 6
@@ -97,7 +86,7 @@ def test_sigkill_then_resume_recomputes_nothing(tmp_path):
     try:
         deadline = time.time() + 180
         while time.time() < deadline:
-            if _count_done(manifest_path) >= 1 or proc.poll() is not None:
+            if done_events(store) or proc.poll() is not None:
                 break
             time.sleep(0.02)
         assert proc.poll() is None, \
@@ -106,7 +95,9 @@ def test_sigkill_then_resume_recomputes_nothing(tmp_path):
     finally:
         proc.wait(timeout=60)
 
-    pre = Manifest(manifest_path).state()
+    q = ClaimQueue(store)
+    pre = q.manifest.state()
+    q.close()
     pre_done = set(pre.done_ids)
     assert 1 <= len(pre_done) < total, \
         f"kill must land mid-flight (done: {len(pre_done)}/{total})"
@@ -122,7 +113,7 @@ def test_sigkill_then_resume_recomputes_nothing(tmp_path):
     assert set(state.done_ids) >= pre_done
     assert len(state.done_ids) == total
     # Zero recomputation of journaled units: they gained no new journal
-    # rows (manifest skip) and resolved through the warm disk cache.
+    # rows (journal skip) and resolved through the warm disk cache.
     for uid in pre_done:
         assert state.units[uid].attempts == 1, \
             "a done unit must never be re-journaled on resume"

@@ -6,12 +6,9 @@ shared work pool.  This suite pins its contract from three directions:
 * **protocol** — :class:`TestClaimQueue` drives the lease state machine
   in-process with a fake clock: atomic claims, owner-guarded
   heartbeats, exactly-once completion (a worker whose lease was
-  reclaimed must *never* journal), retry backoff, and both directions
-  of claim/journal reconciliation;
-* **crash windows** — fabricated divergence between the journal and the
-  claim table (exactly what a SIGKILL between the manifest append and
-  the sqlite commit leaves behind) must repair without double-running
-  or double-journaling any unit;
+  reclaimed must *never* journal), retry backoff, reopening failed
+  units, and a writer killed inside ``complete`` leaving neither the
+  claim row change nor its journal event;
 * **real processes** — ``slow``-marked tests spawn actual workers,
   SIGKILL one mid-flight, leave one hung on a stale lease, and assert
   the survivors drain the queue with no unit double-done, lost, or
@@ -20,28 +17,27 @@ shared work pool.  This suite pins its contract from three directions:
   run of the same spec.
 """
 
-import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
-from conftest import FakeClock
+from conftest import FakeClock, done_events
 
 from repro.campaign import (
     CLAIMS_NAME,
     CampaignError,
     CampaignRunner,
     ClaimQueue,
-    Manifest,
     QueueError,
     RunRegistry,
     SweepSpec,
 )
-from repro.campaign.queue import DONE, OPEN
+from repro.campaign.queue import STORE_VERSION
 from repro.config import DEFAULT_CONFIG
 from repro.runtime import RuntimeOptions
 from repro.runtime.cache import ResultCache
@@ -61,19 +57,6 @@ def _dead_pid() -> int:
     return proc.pid
 
 
-def _done_rows(manifest_path: Path) -> dict:
-    """unit_id -> number of ``done`` journal rows (double-done probe)."""
-    counts: dict = {}
-    for line in manifest_path.read_text().splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if event.get("event") == "unit" and event.get("status") == "done":
-            counts[event["unit"]] = counts.get(event["unit"], 0) + 1
-    return counts
-
-
 def _opts(tmp_path, **kw) -> RuntimeOptions:
     return RuntimeOptions(jobs=1, cache_dir=str(tmp_path / "cache"), **kw)
 
@@ -85,11 +68,9 @@ def _opts(tmp_path, **kw) -> RuntimeOptions:
 class TestClaimQueue:
     UNITS = ["u1", "u2", "u3"]
 
-    def _queue(self, tmp_path, clock, worker_id="w1",
-               manifest=None) -> ClaimQueue:
+    def _queue(self, tmp_path, clock, worker_id="w1") -> ClaimQueue:
         return ClaimQueue(
-            tmp_path / CLAIMS_NAME, manifest=manifest,
-            worker_id=worker_id, clock=clock,
+            tmp_path / CLAIMS_NAME, worker_id=worker_id, clock=clock,
         )
 
     def test_populate_is_idempotent_and_ordered(self, tmp_path):
@@ -156,9 +137,9 @@ class TestClaimQueue:
 
     def test_complete_is_exactly_once(self, tmp_path):
         clock = FakeClock()
-        journal = Manifest(None)
-        q1 = self._queue(tmp_path, clock, "w1", manifest=journal)
-        q2 = self._queue(tmp_path, clock, "w2", manifest=journal)
+        q1 = self._queue(tmp_path, clock, "w1")
+        q2 = self._queue(tmp_path, clock, "w2")
+        journal = q1.manifest
         q1.populate(["u1"])
         q1.claim(1, lease=10)
         clock.advance(11)
@@ -193,47 +174,70 @@ class TestClaimQueue:
 
     def test_fail_journal_commits_with_the_row(self, tmp_path):
         clock = FakeClock()
-        journal = Manifest(None)
-        q = self._queue(tmp_path, clock, manifest=journal)
+        q = self._queue(tmp_path, clock)
         q.populate(["u1"])
         q.claim(1, lease=60)
         q.fail("u1", "boom", max_attempts=3, attempt=1, session=1)
-        st = journal.state().unit("u1")
+        st = q.manifest.state().unit("u1")
         assert (st.status, st.error, st.attempts) == ("failed", "boom", 1)
 
-    def test_reconcile_journal_ahead_of_table(self, tmp_path):
-        """Crash window: journal says done, claim row stuck claimed."""
-        clock = FakeClock()
-        q = self._queue(tmp_path, clock)
-        q.populate(self.UNITS)
-        q.claim(1, lease=60)  # u1 in flight at the "crash"
-        out = q.reconcile({"u1"})
-        assert out["repaired_done"] == 1 and out["reopened"] == 0
-        assert q.rows()[0]["status"] == DONE
-
-    def test_reconcile_table_ahead_of_journal(self, tmp_path):
-        clock = FakeClock()
-        q = self._queue(tmp_path, clock)
-        q.populate(self.UNITS)
-        q.claim(1, lease=60)
-        q.complete("u1", "d1")
-        out = q.reconcile(set())  # the journal never got the line
-        assert out["reopened"] == 1
-        row = q.rows()[0]
-        assert row["status"] == OPEN and row["attempts"] == 0
-
-    def test_reconcile_reset_failed(self, tmp_path):
-        clock = FakeClock()
-        q = self._queue(tmp_path, clock)
+    def test_complete_and_journal_commit_together(self, tmp_path):
+        """A writer killed inside ``complete``, after its journal
+        insert and before the commit, leaves neither the ``done`` row
+        nor the event: the claim is still the dead writer's, and the
+        next claimer completes and journals the unit exactly once."""
+        q = ClaimQueue(tmp_path / CLAIMS_NAME)
         q.populate(["u1"])
-        q.claim(1, lease=60)
-        q.fail("u1", "boom", max_attempts=1)
+        script = (
+            "import os, sys\n"
+            "from repro.campaign import ClaimQueue, manifest as M\n"
+            "orig = M.Manifest.record_done\n"
+            "def die(self, *a, **k):\n"
+            "    orig(self, *a, **k)\n"
+            "    os._exit(9)\n"
+            "M.Manifest.record_done = die\n"
+            "q = ClaimQueue(sys.argv[1])\n"
+            "(cu,) = q.claim(1, lease=3600)\n"
+            "q.complete(cu.unit_id, 'd-dead', attempt=cu.attempt)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / CLAIMS_NAME)],
+            cwd=str(Path(__file__).resolve().parent.parent), env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 9
+        (row,) = q.rows()
+        assert row["status"] == "claimed" and row["digest"] is None
+        assert q.manifest.state().units == {}
+        assert done_events(tmp_path / CLAIMS_NAME) == {}
+        # The dead owner's claim is reclaimed at once (same host, pid
+        # gone) and completes exactly once.
+        (cu,) = q.claim(1, lease=60)
+        assert cu.attempt == 2
+        assert q.complete("u1", "d-live", attempt=cu.attempt)
+        assert done_events(tmp_path / CLAIMS_NAME) == {"u1": 1}
+        q.close()
+
+    def test_reopen_failed(self, tmp_path):
+        clock = FakeClock()
+        q = self._queue(tmp_path, clock)
+        q.populate(["u1", "u2"])
+        q.claim(2, lease=60)
+        q.fail("u1", "boom", max_attempts=1, attempt=1)
+        q.complete("u2", "d2")
         assert q.counts().failed == 1
-        assert q.reconcile(set())["reset_failed"] == 0
-        out = q.reconcile(set(), reset_failed=True)
-        assert out["reset_failed"] == 1
+        assert q.reopen_failed() == 1
+        assert q.reopen_failed() == 0
+        counts = q.counts()
+        assert (counts.open, counts.done, counts.failed) == (1, 1, 0)
         (c,) = q.claim(1, lease=60)
-        assert c.attempt == 1  # fresh attempt budget
+        assert (c.unit_id, c.attempt) == ("u1", 1)  # fresh budget
+        # The journal keeps the failed attempt: the fold still counts it.
+        assert q.manifest.state().unit("u1").attempts == 1
 
     def test_spec_digest_guard(self, tmp_path):
         clock = FakeClock()
@@ -242,6 +246,36 @@ class TestClaimQueue:
         q.populate(["u1"], spec_digest="aaa")  # same spec: fine
         with pytest.raises(QueueError, match="spec digest"):
             q.populate(["u1"], spec_digest="bbb")
+
+    def test_concurrent_creation_never_refuses(self, tmp_path):
+        """Many openers racing to create one new store: each sees a
+        complete, stamped store (creation and stamp are one
+        transaction), none is refused as a store without a stamp."""
+        path = tmp_path / CLAIMS_NAME
+        n = 2 * (os.cpu_count() or 2) + 2
+        barrier = threading.Barrier(n)
+        errors, versions = [], []
+
+        def open_store():
+            barrier.wait(timeout=30)
+            try:
+                q = ClaimQueue(path)
+                versions.append(
+                    q._db.execute("PRAGMA user_version").fetchone()[0]
+                )
+                q.populate(["u1"])
+                q.close()
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=open_store) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert versions == [STORE_VERSION] * n
 
     def test_counts_and_live_leases(self, tmp_path):
         clock = FakeClock()
@@ -265,88 +299,6 @@ class TestClaimQueue:
 
 
 # ======================================================================
-# crash-window reconciliation, end to end on a real campaign dir
-# ======================================================================
-
-class TestCrashReconciliation:
-    def test_journal_ahead_resume_never_rejournals(self, tmp_path):
-        """Fabricate the SIGKILL-between-append-and-commit state: the
-        manifest has the done line, the claim row is stuck ``claimed``
-        by a dead worker.  Resume must repair the row, journal nothing
-        new for that unit, and finish the rest."""
-        spec = SweepSpec(**SPEC2)
-        units = spec.expand()
-        first = units[0]
-        root = tmp_path / "runs"
-        cdir = root / spec.campaign_id
-        cdir.mkdir(parents=True)
-        (cdir / "spec.json").write_text(
-            json.dumps(spec.to_json_dict(), indent=2, sort_keys=True)
-        )
-        manifest = Manifest(cdir / "manifest.jsonl")
-        manifest.write_header(spec.campaign_id, spec.spec_digest(),
-                              len(units))
-        manifest.start_session()
-        digest = first.job_key(DEFAULT_CONFIG).cache_digest()
-        manifest.record_done(first.unit_id, digest, 0.1, 1, 1)
-
-        q = ClaimQueue(cdir / CLAIMS_NAME, worker_id="crashed")
-        q.populate(spec.unit_ids(), spec_digest=spec.spec_digest())
-        assert [c.unit_id for c in q.claim(1, lease=3600)] \
-            == [first.unit_id]
-        q._db.execute(
-            "UPDATE units SET owner_pid=? WHERE status='claimed'",
-            (_dead_pid(),),
-        )
-        q.close()
-
-        result = CampaignRunner(
-            spec, root=root, options=_opts(tmp_path),
-        ).run(resume=True)
-        assert result.ok
-        assert set(result.state.done_ids) == {u.unit_id for u in units}
-        rows = _done_rows(cdir / "manifest.jsonl")
-        assert rows[first.unit_id] == 1, \
-            "the crash-window unit must not be journaled again"
-        assert all(n == 1 for n in rows.values())
-        q = ClaimQueue(cdir / CLAIMS_NAME)
-        assert q.counts().done == len(units)
-        assert q.counts().active == 0
-        q.close()
-
-    def test_table_ahead_rejournals_once_from_warm_cache(self, tmp_path):
-        """The opposite divergence (journal line lost, claim row done):
-        the unit reopens, resolves through the warm cache with zero
-        simulation, and is journaled exactly once."""
-        spec = SweepSpec(**SPEC2)
-        root = tmp_path / "runs"
-        first = CampaignRunner(
-            spec, root=root, options=_opts(tmp_path),
-        ).run()
-        assert first.ok
-        cdir = root / spec.campaign_id
-        victim = spec.expand()[-1].unit_id
-        summary_before = (cdir / "summary.json").read_bytes()
-
-        lines = [
-            line
-            for line in (cdir / "manifest.jsonl").read_text().splitlines()
-            if f'"{victim}"' not in line or '"done"' not in line
-        ]
-        (cdir / "manifest.jsonl").write_text("\n".join(lines) + "\n")
-
-        resumed = CampaignRunner(
-            spec, root=root, options=_opts(tmp_path),
-        ).run(resume=True)
-        assert resumed.ok
-        assert resumed.stats.executed == 0, \
-            "re-journaling must ride the warm cache, not re-simulate"
-        rows = _done_rows(cdir / "manifest.jsonl")
-        assert all(n == 1 for n in rows.values())
-        assert (cdir / "summary.json").read_bytes() == summary_before
-
-
-# ======================================================================
 # invariants of the queue-backed runner (PR-5 carryovers)
 # ======================================================================
 
@@ -362,9 +314,9 @@ class TestQueueRunnerInvariants:
         ).run()
         assert result.ok
         cdir = root / spec.campaign_id
-        state = Manifest(cdir / "manifest.jsonl").state()
         cache = ResultCache(tmp_path / "cache")
         q = ClaimQueue(cdir / CLAIMS_NAME)
+        state = q.manifest.state()
         by_row = {row["unit_id"]: row for row in q.rows()}
         q.close()
         for unit in spec.expand():
@@ -434,12 +386,12 @@ class TestRegistryUnderWorkers:
 
     def test_gc_never_collects_live_lease_campaigns(self, tmp_path):
         registry, spec = self._finished_campaign(tmp_path)
-        # A second, in-flight campaign: manifest present, one unit
-        # claimed by this (live) process.
+        # A second, in-flight campaign: journal header present, one
+        # unit claimed by this (live) process.
         live = registry.root / "live-camp"
         live.mkdir()
-        Manifest(live / "manifest.jsonl").write_header("live-camp", "d", 2)
         q = ClaimQueue(live / CLAIMS_NAME, worker_id="w")
+        q.manifest.write_header("live-camp", "d", 2)
         q.populate(["u1", "u2"])
         q.claim(1, lease=3600)
 
@@ -458,10 +410,10 @@ class TestRegistryUnderWorkers:
     def test_gc_missing_and_corrupt_dirs_are_not_fatal(self, tmp_path):
         registry, spec = self._finished_campaign(tmp_path)
         assert registry.gc(ids=["no-such-campaign"]) == []
-        # A manifest that cannot be parsed as a file at all: status
+        # A store that cannot be opened as a file at all: status
         # reports corrupt, ls and gc keep working.
         bad = registry.root / "bad-camp"
-        (bad / "manifest.jsonl").mkdir(parents=True)
+        (bad / CLAIMS_NAME).mkdir(parents=True)
         info = registry.info("bad-camp")
         assert info.status == "corrupt" and info.error
         ids = [i.campaign_id for i in registry.list()]
@@ -474,7 +426,7 @@ class TestRegistryUnderWorkers:
         registry, _ = self._finished_campaign(tmp_path)
         empty = registry.root / "empty-camp"
         empty.mkdir()
-        (empty / "manifest.jsonl").write_text("")
+        (empty / CLAIMS_NAME).write_text("")
         assert registry.info("empty-camp").status == "empty"
         assert any(
             i.campaign_id == "empty-camp" for i in registry.list()
@@ -484,8 +436,8 @@ class TestRegistryUnderWorkers:
         registry, spec = self._finished_campaign(tmp_path)
         live = registry.root / "live-camp"
         live.mkdir()
-        Manifest(live / "manifest.jsonl").write_header("live-camp", "d", 2)
         q = ClaimQueue(live / CLAIMS_NAME, worker_id="w")
+        q.manifest.write_header("live-camp", "d", 2)
         q.populate(["u1", "u2"])
         q.claim(1, lease=3600)
         # Two listings while a worker holds a lease agree with each
@@ -507,8 +459,8 @@ class TestRegistryUnderWorkers:
 
 #: Child: one worker attached to an existing campaign, with a journal
 #: that naps inside the exactly-once transaction — so a SIGKILL lands
-#: either mid-simulation (unit reruns) or inside the crash window
-#: (journal ahead of the claim table; reconcile must repair it).
+#: either mid-simulation or inside an uncommitted ``complete`` (the row
+#: and its event roll back together); either way the unit reruns.
 WORKER_SCRIPT = """
 import sys, time
 from repro.campaign import manifest as M
@@ -550,7 +502,7 @@ def _prepare_campaign(spec, root, tmp_path):
     runner.manifest.write_header(
         spec.campaign_id, spec.spec_digest(), len(spec.expand())
     )
-    return runner
+    runner.close()
 
 
 @pytest.mark.slow
@@ -586,7 +538,7 @@ class TestWorkerProcesses:
         assert (multi_root / name / "report.txt").read_bytes() \
             == (control_root / name / "report.txt").read_bytes()
 
-        rows = _done_rows(multi_root / name / "manifest.jsonl")
+        rows = done_events(multi_root / name / CLAIMS_NAME)
         assert all(n == 1 for n in rows.values()), rows
         assert len(rows) == len(spec.expand())
 
@@ -607,14 +559,14 @@ class TestWorkerProcesses:
         cache = tmp_path / "cache"
         _prepare_campaign(spec, root, tmp_path)
         name = spec.campaign_id
-        manifest_path = root / name / "manifest.jsonl"
+        store = root / name / CLAIMS_NAME
         total = len(spec.expand())
 
         victim = _spawn_worker(root, cache, name)
         try:
             deadline = time.time() + 180
             while time.time() < deadline:
-                if _done_rows(manifest_path) or victim.poll() is not None:
+                if done_events(store) or victim.poll() is not None:
                     break
                 time.sleep(0.02)
             assert victim.poll() is None, \
@@ -623,7 +575,7 @@ class TestWorkerProcesses:
         finally:
             victim.wait(timeout=60)
 
-        pre = _done_rows(manifest_path)
+        pre = done_events(store)
         assert 1 <= len(pre) < total
 
         # The survivor attaches in-process.  The victim's claims are
@@ -639,7 +591,7 @@ class TestWorkerProcesses:
         assert time.time() - t0 < 100
         assert out.finalized
 
-        rows = _done_rows(manifest_path)
+        rows = done_events(store)
         assert len(rows) == total, "no unit may be lost"
         assert all(n == 1 for n in rows.values()), \
             f"double-done units: {rows}"
@@ -668,10 +620,7 @@ class TestWorkerProcesses:
         name = spec.campaign_id
         cdir = root / name
 
-        hung = ClaimQueue(
-            cdir / CLAIMS_NAME, worker_id="hung-worker",
-            manifest=Manifest(cdir / "manifest.jsonl"),
-        )
+        hung = ClaimQueue(cdir / CLAIMS_NAME, worker_id="hung-worker")
         hung.populate(spec.unit_ids(), spec_digest=spec.spec_digest())
         claimed = hung.claim(1, lease=1.0)
         assert len(claimed) == 1
@@ -686,10 +635,10 @@ class TestWorkerProcesses:
             "the healthy worker must reclaim the stale lease"
 
         assert not hung.complete(stuck, "stale")
-        assert _done_rows(cdir / "manifest.jsonl")[stuck] == 1, \
+        assert done_events(cdir / CLAIMS_NAME)[stuck] == 1, \
             "a reclaimed worker must never journal its unit"
         hung.close()
 
-        rows = _done_rows(cdir / "manifest.jsonl")
+        rows = done_events(cdir / CLAIMS_NAME)
         assert len(rows) == len(spec.expand())
         assert all(n == 1 for n in rows.values())

@@ -1,27 +1,22 @@
-"""Property tests for the manifest journal's torn-line tolerance.
+"""Property tests for the journal fold.
 
-The crash model behind ``manifest.jsonl`` is byte truncation: a writer
-killed at any instant leaves a byte-prefix of a valid journal.  These
-hypothesis properties pin the replay/repair contract for *every* such
-prefix, not just the hand-picked ones in the example-based suites:
+The journal is the ``journal`` table of a campaign store, and each
+``unit`` event commits together with its claim-row change or not at
+all, so there is no torn state to replay.  What these hypothesis
+properties pin is the fold, for *every* sequence of terminal unit
+events rather than the hand-picked ones in the example-based suites:
 
-* replay folds exactly the fully-contained lines (a torn tail is
-  ignored, never a crash, never a partial parse);
-* repair-then-append keeps the journal appendable — new events land on
-  fresh lines and fold on top of the surviving prefix;
+* the table holds exactly the events written, in order;
 * the folded per-unit state (done/failed, attempt counts) matches a
-  reference fold of the surviving events, so the done-set can never
-  double-count a unit.
+  reference fold of those events, so the done-set can never
+  double-count a unit;
+* done and failed partition the folded units.
 """
 
-import json
-import tempfile
-from pathlib import Path
-
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.manifest import Manifest
+from repro.campaign.queue import ClaimQueue
 
 #: (unit_id, succeeded?) — a terminal unit event in the journal.
 EVENTS = st.lists(
@@ -30,8 +25,23 @@ EVENTS = st.lists(
 )
 
 
-def _write_journal(path: Path, events) -> None:
-    m = Manifest(path)
+def _reference_fold(events):
+    """Last-event-wins per-unit fold, independent of Manifest.state()."""
+    units = {}
+    for uid, done in events:
+        _, attempts = units.get(uid, ("pending", 0))
+        units[uid] = ("done" if done else "failed", attempts + 1)
+    return units
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=EVENTS)
+def test_done_set_never_double_counts(events):
+    """However often a unit is journaled, it appears in done_ids at
+    most once, done/failed partition the folded units, and the fold
+    equals a reference fold of the events the table holds."""
+    queue = ClaimQueue(":memory:")
+    m = queue.manifest
     m.write_header("prop", "digest", 3)
     session = m.start_session()
     for i, (uid, done) in enumerate(events, start=1):
@@ -40,112 +50,23 @@ def _write_journal(path: Path, events) -> None:
         else:
             m.record_failed(uid, "boom", i, session)
 
+    rows = queue._db.execute(
+        "SELECT unit, status FROM journal WHERE kind='unit' ORDER BY seq"
+    ).fetchall()
+    assert rows == [(uid, "done" if done else "failed")
+                    for uid, done in events]
 
-def _kept_events(blob: bytes, cut: int):
-    """Reference model: the events of the *original* journal whose
-    content bytes fully survive a truncation at ``cut`` (the trailing
-    newline may be lost — the line still parses)."""
-    kept = []
-    pos = 0
-    for raw in blob.split(b"\n"):
-        if raw and pos + len(raw) <= cut:
-            kept.append(json.loads(raw.decode()))
-        pos += len(raw) + 1
-    return kept
-
-
-def _reference_fold(events):
-    """Last-event-wins per-unit fold, independent of Manifest.state()."""
-    units = {}
-    for e in events:
-        if e.get("event") != "unit":
-            continue
-        status, attempts = units.get(e["unit"], ("pending", 0))
-        units[e["unit"]] = (e["status"], attempts + 1)
-    return units
-
-
-@settings(
-    max_examples=60,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-    deadline=None,
-)
-@given(events=EVENTS, cut_frac=st.floats(0, 1))
-def test_truncated_journal_folds_exactly_the_surviving_lines(
-    events, cut_frac
-):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "manifest.jsonl"
-        _write_journal(path, events)
-        blob = path.read_bytes()
-        cut = min(len(blob), int(cut_frac * (len(blob) + 1)))
-        path.write_bytes(blob[:cut])
-
-        kept = _kept_events(blob, cut)
-        state = Manifest(path).state()
-
-        expected = _reference_fold(kept)
-        assert {
-            uid: (st_.status, st_.attempts)
-            for uid, st_ in state.units.items()
-        } == expected
-        assert set(state.done_ids) == {
-            uid for uid, (status, _) in expected.items() if status == "done"
-        }
-        assert state.sessions == sum(
-            1 for e in kept if e.get("event") == "session"
-        )
-        assert (state.header is not None) == any(
-            e.get("event") == "header" for e in kept
-        )
-
-
-@settings(
-    max_examples=60,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-    deadline=None,
-)
-@given(events=EVENTS, cut_frac=st.floats(0, 1))
-def test_repaired_tail_accepts_appends(events, cut_frac):
-    """Opening a truncated journal repairs the torn tail, so the next
-    append cannot concatenate onto the fragment: the new event is
-    always folded, on top of exactly the surviving prefix."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "manifest.jsonl"
-        _write_journal(path, events)
-        blob = path.read_bytes()
-        cut = min(len(blob), int(cut_frac * (len(blob) + 1)))
-        path.write_bytes(blob[:cut])
-
-        survivors = _reference_fold(_kept_events(blob, cut))
-
-        m = Manifest(path)  # __init__ repairs the torn tail
-        m.record_done("uz", "d-uz", 0.1, 1, 99)
-
-        reread = Manifest(path).state()
-        status, attempts = survivors.get("uz", ("pending", 0))
-        survivors["uz"] = ("done", attempts + 1)
-        assert {
-            uid: (st_.status, st_.attempts)
-            for uid, st_ in reread.units.items()
-        } == survivors
-        assert reread.units["uz"].digest == "d-uz"
-
-
-@settings(
-    max_examples=40,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-    deadline=None,
-)
-@given(events=EVENTS)
-def test_done_set_never_double_counts(events):
-    """However often a unit is journaled, it appears in done_ids at
-    most once, and done/failed partition the folded units."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "manifest.jsonl"
-        _write_journal(path, events)
-        state = Manifest(path).state()
-        done = state.done_ids
-        assert len(done) == len(set(done))
-        assert set(done).isdisjoint(state.failed_ids)
-        assert set(done) | set(state.failed_ids) == set(state.units)
+    state = m.state()
+    expected = _reference_fold(events)
+    assert {
+        uid: (st_.status, st_.attempts) for uid, st_ in state.units.items()
+    } == expected
+    done = state.done_ids
+    assert len(done) == len(set(done))
+    assert set(done) == {
+        uid for uid, (status, _) in expected.items() if status == "done"
+    }
+    assert set(done).isdisjoint(state.failed_ids)
+    assert set(done) | set(state.failed_ids) == set(state.units)
+    assert state.sessions == 1 and state.header is not None
+    queue.close()

@@ -31,7 +31,11 @@ through sentinel files.
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +314,87 @@ class TestWorkerExceptionCounters:
         assert runner.stats.executed_serial == len(keys)
         for key in keys:
             assert out[key] == serial_results[key]
+
+
+#: A process running a two-worker pool over more work than it can
+#: finish before the test kills it.
+ORPHAN_SCRIPT = """
+from repro.config import DEFAULT_CONFIG
+from repro.runtime import JobKey, ParallelRunner, RuntimeOptions, config_digest
+
+digest = config_digest(DEFAULT_CONFIG)
+keys = [
+    JobKey(bench=b, scale=s, config_digest=digest)
+    for b in ("fft", "swim", "md", "ocean", "lu", "barnes")
+    for s in (0.9, 1.0)
+]
+ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=2)).run_many(keys)
+"""
+
+
+def _proc_stat(pid: int):
+    """``(state, ppid)`` of a live pid from ``/proc``, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _descendants(pid: int) -> list:
+    children: dict = {}
+    for entry in os.listdir("/proc"):
+        stat = _proc_stat(int(entry)) if entry.isdigit() else None
+        if stat is not None:
+            children.setdefault(stat[1], []).append(int(entry))
+    out, todo = [], [pid]
+    while todo:
+        for child in children.get(todo.pop(), []):
+            out.append(child)
+            todo.append(child)
+    return out
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_pool_workers_exit_when_their_parent_is_killed():
+    """SIGKILL a process inside ``run_many`` with ``jobs=2``: its pool
+    workers must not outlive it (re-parented, they would idle forever
+    and hold every pipe they inherited open)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_SCRIPT],
+        cwd=str(Path(__file__).resolve().parent.parent), env=env,
+    )
+    workers: list = []
+    try:
+        deadline = time.time() + 120
+        while time.time() < deadline and proc.poll() is None:
+            workers = _descendants(proc.pid)
+            if len(workers) >= 2:
+                break
+            time.sleep(0.02)
+        assert proc.poll() is None, "the pool finished before the kill"
+        assert len(workers) >= 2, workers
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.time() + 10
+        while time.time() < deadline and any(map(_running, workers)):
+            time.sleep(0.1)
+        assert not [w for w in workers if _running(w)], \
+            "pool workers outlived their killed parent"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        for w in workers:
+            if _running(w):
+                os.kill(w, signal.SIGKILL)
