@@ -9,11 +9,17 @@ resource occupancy (the engine's reserve phase: nothing is claimed).
 The construction is purely observational: it never mutates caches,
 links, ports, or banks.  All timing questions go through the shared
 :class:`~repro.arch.machine.MachineState`.
+
+The default engine prices on demand: :class:`ComputePricing` builds
+each station group, and the conventional estimate, the first time the
+deciding scheme reads it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import weakref
+from collections.abc import Sequence as SequenceABC
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.arch.machine import PKG_BYTES, REQ_BYTES, WORD_BYTES, MachineState
 from repro.arch.routing import RouteSignature
@@ -383,6 +389,159 @@ class CandidateBuilder:
         return mc_cand, bank_cand
 
 
+#: ``ComputePricing._net`` before the network group is built (the
+#: group itself may be ``None``: no network station for this compute)
+_UNPRICED = object()
+
+
+class ComputePricing(SequenceABC):
+    """One compute's decision inputs, priced on first read.
+
+    The sequence is the compute's station candidates in the paper's
+    trial order, in three groups: the network candidate (when there is
+    one), the L2-bank candidate, then the memory-controller and DRAM-bank
+    pair, which share one package flight.  Each group is built the
+    first time a reader reaches it and kept for the rest of the
+    compute.  Iterating is lazy, so a scheme that stops at the first
+    workable station prices nothing behind it; ``len()`` and indexing
+    build every group.  :meth:`conv_completion` prices the two operand
+    estimates on first call.
+
+    Everything here is reserve-phase pricing: nothing is claimed, so
+    pricing a group late or never changes no result.  Its only writes
+    are memo fills and the ``purge(now)`` inside a station's
+    ``hol_clearance(now)``, which no later query can see (pop times
+    never decrease).  :class:`FusedCandidateBuilder` owns one instance
+    and resets it (:meth:`reset`) for every compute, so it is valid
+    only until that compute's decision executes.
+    """
+
+    def __init__(self, builder: "FusedCandidateBuilder") -> None:
+        # A weak back-reference: the builder owns this object, and a
+        # reference cycle would keep every finished machine alive until
+        # the cycle collector runs.
+        self.b = weakref.proxy(builder)
+        self.m = builder.m
+        #: the access path's pure operand estimate
+        #: (``FusedAccessPath.estimate``), bound by the simulator
+        self.estimate: Optional[Callable[[int, int, int, bool], int]] = None
+
+    def reset(
+        self,
+        core: int,
+        op: TraceOp,
+        now: int,
+        l1_hit_x: bool = False,
+        l1_hit_y: bool = False,
+    ) -> None:
+        """Start pricing compute ``op`` issued by ``core`` at ``now``."""
+        m = self.m
+        self.core = core
+        self.op = op
+        self.now = now
+        self.l1_hit_x = l1_hit_x
+        self.l1_hit_y = l1_hit_y
+        amap = m.addr_info
+        x, y = op.addr, op.addr2
+        ix = amap.get(x)
+        if ix is None:
+            ix = m.addr_fact(x)
+        iy = amap.get(y)
+        if iy is None:
+            iy = m.addr_fact(y)
+        self.ix = ix
+        self.iy = iy
+        l2_status = self.b._l2_status_at
+        self.x_l2 = l2_status(x, now, ix[0], ix[1])
+        self.y_l2 = l2_status(y, now, iy[0], iy[1])
+        self._net = _UNPRICED
+        self._l2 = None
+        self._mem = None
+        self._conv = None
+
+    # -- the three groups, in trial order ---------------------------------
+    def network(self) -> Optional[StationCandidate]:
+        """The meet-in-the-network candidate, or None when there is none."""
+        net = self._net
+        if net is _UNPRICED:
+            ix, iy = self.ix, self.iy
+            net = self._net = self.b._fused_network_candidate(
+                self.core, self.op, self.now, ix[0], iy[0],
+                self.x_l2, self.y_l2, ix, iy,
+            )
+        return net
+
+    def cache(self) -> StationCandidate:
+        """The candidate at the first operand's home L2 bank."""
+        cand = self._l2
+        if cand is None:
+            cand = self._l2 = self.b._l2_candidate(
+                self.core, self.now, self.ix[0], self.iy[0],
+                self.x_l2, self.y_l2,
+            )
+        return cand
+
+    def memory(self) -> Tuple[StationCandidate, StationCandidate]:
+        """The memory-controller and DRAM-bank candidates."""
+        pair = self._mem
+        if pair is None:
+            pair = self._mem = self.b._memory_candidates(
+                self.core, self.op, self.now, self.x_l2, self.y_l2
+            )
+        return pair
+
+    def __iter__(self):
+        net = self.network()
+        if net is not None:
+            yield net
+        yield self.cache()
+        yield from self.memory()
+
+    def __len__(self) -> int:
+        return 3 if self.network() is None else 4
+
+    def __getitem__(self, index):
+        return self.force()[index]
+
+    def force(self) -> List[StationCandidate]:
+        """Every candidate in trial order (builds every group)."""
+        net = self.network()
+        head = [] if net is None else [net]
+        return head + [self.cache(), *self.memory()]
+
+    # -- what the simulator asks before and beside the scheme -------------
+    def any_ready(self) -> bool:
+        """Whether some candidate has ``ready < NEVER``.
+
+        Answered from structure where the answer is structural: the L2
+        candidate is ready exactly when both operands are L2-resident
+        (or in flight) at the same home, and the memory-controller and
+        bank candidates exactly when both are memory-resident behind
+        the same controller.  Only otherwise is the network candidate
+        built.  (The facts hold while cycles stay below ``NEVER``.)
+        """
+        x_resident = self.x_l2[0]
+        if x_resident == self.y_l2[0]:
+            if x_resident:
+                if self.ix[0] == self.iy[0]:
+                    return True
+            elif self.ix[2] == self.iy[2]:
+                return True
+        net = self.network()
+        return net is not None and net.ready < NEVER
+
+    def conv_completion(self) -> int:
+        """Completion cycle of the compute executed on the core."""
+        conv = self._conv
+        if conv is None:
+            estimate = self.estimate
+            core, op, now = self.core, self.op, self.now
+            est_x = estimate(core, op.addr, now, self.l1_hit_x)
+            est_y = estimate(core, op.addr2, now, self.l1_hit_y)
+            conv = self._conv = (est_x if est_x >= est_y else est_y) + 1
+        return conv
+
+
 class FusedCandidateBuilder(CandidateBuilder):
     """Candidate construction of the ``optimized`` engine.
 
@@ -391,7 +550,9 @@ class FusedCandidateBuilder(CandidateBuilder):
     builder (the same-bank pair window computed once per candidate, the
     per-operand DRAM estimates) are computed once and shared — sound
     because the whole construction is purely observational (nothing is
-    claimed between the queries).
+    claimed between the queries).  The groups are built through
+    :attr:`pricing`, on demand in the simulator's compute step and all
+    at once in :meth:`build`.
     """
 
     def __init__(self, machine) -> None:
@@ -413,6 +574,8 @@ class FusedCandidateBuilder(CandidateBuilder):
         )
         #: remaining-hops -> zero-load result-return latency (pure)
         self._zll = {}
+        #: the per-compute on-demand pricing (reset for every compute)
+        self.pricing = ComputePricing(self)
 
     def _wait_cap(self, location) -> int:
         return self._caps[location]
@@ -427,29 +590,9 @@ class FusedCandidateBuilder(CandidateBuilder):
     def build(
         self, core: int, op, now: int
     ) -> List[StationCandidate]:
-        m = self.m
-        x, y = op.addr, op.addr2
-        amap = m.addr_info
-        ix = amap.get(x)
-        if ix is None:
-            ix = m.addr_fact(x)
-        iy = amap.get(y)
-        if iy is None:
-            iy = m.addr_fact(y)
-        hx, hy = ix[0], iy[0]
-        x_l2 = self._l2_status_at(x, now, hx, ix[1])
-        y_l2 = self._l2_status_at(y, now, hy, iy[1])
-        out: List[StationCandidate] = []
-        out.extend(
-            self._fused_network_candidate(
-                core, op, now, hx, hy, x_l2, y_l2, ix, iy
-            )
-        )
-        out.append(self._l2_candidate(core, now, hx, hy, x_l2, y_l2))
-        mc_cand, bank_cand = self._memory_candidates(core, op, now, x_l2, y_l2)
-        out.append(mc_cand)
-        out.append(bank_cand)
-        return out
+        pricing = self.pricing
+        pricing.reset(core, op, now)
+        return pricing.force()
 
     def _l2_status_at(
         self, addr: int, now: int, home: int, l2_line: int
@@ -475,7 +618,7 @@ class FusedCandidateBuilder(CandidateBuilder):
         y_l2: Tuple[bool, int],
         ix,
         iy,
-    ) -> List[StationCandidate]:
+    ) -> Optional[StationCandidate]:
         """Base :meth:`_network_candidate` over the memoized facts.
 
         Same trial logic and the same arithmetic on the same inputs —
@@ -489,7 +632,7 @@ class FusedCandidateBuilder(CandidateBuilder):
         src_x = hx if x_l2[0] else ix[3]
         src_y = hy if y_l2[0] else iy[3]
         if src_x == src_y or src_x == core or src_y == core:
-            return []
+            return None
         lids_x = None
         if op.route_hint is not None and x_l2[0] and y_l2[0]:
             try:
@@ -505,7 +648,7 @@ class FusedCandidateBuilder(CandidateBuilder):
             lids_x = m._lids[src_x * m._nn + core]
         common = route_x.mask & route_y.mask
         if not common:
-            return []
+            return None
         if lids_x is None:
             link = m.mesh.link
             lids_x = tuple(
@@ -539,7 +682,7 @@ class FusedCandidateBuilder(CandidateBuilder):
             ):
                 best_meet = entry
         if best is None:
-            return []
+            return None
         aligned = op.kind == OpKind.PRE_COMPUTE and bool(
             op.mask & NdcComponentMask.NETWORK
         )
@@ -557,7 +700,7 @@ class FusedCandidateBuilder(CandidateBuilder):
         t_meet = max(tx, ty) if aligned else min(tx, ty)
         if gap > meet_window:
             if not aligned:
-                return []
+                return None
             avail_x, avail_y = t_meet, NEVER
         else:
             avail_x, avail_y = t_meet, t_meet + gap
@@ -575,19 +718,17 @@ class FusedCandidateBuilder(CandidateBuilder):
         if aligned:
             pkg_arrival = max(pkg_arrival, t_meet)
         key = ("link", link_id)
-        return [
-            StationCandidate(
-                NdcLocation.NETWORK,
-                best_node,
-                key,
-                avail_x,
-                avail_y,
-                pkg_arrival,
-                best_d_res + cfg.ndc.result_forward_overhead,
-                hol=self._hol_fn(NdcLocation.NETWORK, key)(now),
-                wait_cap=self._caps[NdcLocation.NETWORK],
-            )
-        ]
+        return StationCandidate(
+            NdcLocation.NETWORK,
+            best_node,
+            key,
+            avail_x,
+            avail_y,
+            pkg_arrival,
+            best_d_res + cfg.ndc.result_forward_overhead,
+            hol=self._hol_fn(NdcLocation.NETWORK, key)(now),
+            wait_cap=self._caps[NdcLocation.NETWORK],
+        )
 
     def _response_departure(
         self, core: int, addr: int, now: int, l2_status: Tuple[bool, int]

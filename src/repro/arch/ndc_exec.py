@@ -52,12 +52,7 @@ class NdcExecutor:
 
     # ------------------------------------------------------------------
     def exec_ndc(
-        self,
-        core: int,
-        op: TraceOp,
-        now: int,
-        decision: Decision,
-        conv_completion: int,
+        self, core: int, op: TraceOp, now: int, decision: Decision
     ) -> int:
         """Model the offload chosen by the scheme."""
         m = self.m

@@ -32,6 +32,7 @@ share one :class:`~repro.arch.machine.MachineState`:
 * :class:`~repro.arch.candidates.CandidateBuilder` — the per-compute
   :class:`~repro.schemes.StationCandidate` list in the paper's trial
   order (network router -> L2 bank -> memory controller -> DRAM bank);
+  the default engine builds it on demand, as the scheme reads it;
 * :class:`~repro.arch.ndc_exec.NdcExecutor` — the full offload life
   cycle: package injection (offload-table capacity), service-table
   admission, bounded waiting, the near-data compute, the one-word
@@ -119,10 +120,13 @@ class SystemSimulator:
         When True, keep the per-PC sequence of observed windows (Fig. 5).
     engine_profile:
         ``"optimized"`` (default) runs the fused hot paths: memoized
-        address facts, a one-loop NoC travel, shared pure estimates,
-        and a replay loop that skips the heap round trip while a core
-        stays earliest; ``"reference"`` runs the frozen
-        pre-optimization implementation.  Profiles are *performance
+        address facts, a one-loop NoC travel, on-demand pricing (a
+        compute prices only the operand estimates and station
+        candidates its scheme reads, and nothing on a local hit), and a
+        replay loop that skips the heap round trip while a core stays
+        earliest; ``"reference"`` runs the frozen pre-optimization
+        implementation, which prices every compute in full before the
+        local-hit check.  Profiles are *performance
         knobs only*: the differential harness
         (``tests/test_differential.py``) pins both to cycle-exact
         identical :class:`SimulationResult`s, and they never enter the
@@ -169,6 +173,8 @@ class SystemSimulator:
         else:
             self.machine.keep_journeys = profile_windows
             self._scheme_is_nondc = isinstance(self.scheme, NoNdc)
+            self._pricing = self.candidate_builder.pricing
+            self._pricing.estimate = self.access_path.estimate
 
     # ==================================================================
     # shared-state views (stable API; tests and analysis rely on these)
@@ -205,66 +211,63 @@ class SystemSimulator:
     # compute execution
     # ==================================================================
     def _exec_compute(self, core: int, op: TraceOp, now: int) -> int:
-        """Execute a COMPUTE/PRE_COMPUTE; returns its completion cycle."""
+        """Execute a COMPUTE/PRE_COMPUTE; returns its completion cycle.
+
+        Prices only what the decision reads: a local hit prices nothing,
+        and the scheme reads station candidates and the conventional
+        estimate on demand (:class:`~repro.arch.candidates.ComputePricing`).
+        With ``profile_windows`` every compute is priced in full for the
+        profiler first.
+        """
         m = self.machine
-        # The estimate/candidate phase is purely observational (nothing
-        # is claimed until the decision executes), so reserve-phase
-        # travel queries repeated with identical arguments inside this
-        # one compute are memoized; the memo dies before any commit.
-        m._pure_memo = {}
-        try:
-            m.stats.computes += 1
-            l1 = m.l1[core]
-            l1_hit_x = l1.probe(op.addr)
-            l1_hit_y = l1.probe(op.addr2)
-
-            ap = self.access_path
-            est_x = ap.estimate(core, op.addr, now, l1_hit_x)
-            est_y = ap.estimate(core, op.addr2, now, l1_hit_y)
-            conv_completion = (est_x if est_x >= est_y else est_y) + 1
-
-            candidates = self.candidate_builder.build(core, op, now)
-            if self.profile_windows:
-                self.profiler.record(
-                    op, conv_completion - now, now, candidates
-                )
-        finally:
-            m._pure_memo = None
-
+        stats = m.stats
+        stats.computes += 1
+        l1 = m.l1[core]
+        l1_hit_x = l1.probe(op.addr)
+        l1_hit_y = l1.probe(op.addr2)
         # LD/ST-unit local probe (Fig. 1): with an operand already in the
         # local L1, the computation always runs on the core — hardware
         # skips the offload path before any scheme policy applies.
-        if (l1_hit_x or l1_hit_y) and not self._scheme_is_nondc:
-            m.stats.ndc.skipped_local_hit += 1
-            m.stats.ndc.conventional += 1
+        local_hit = (l1_hit_x or l1_hit_y) and not self._scheme_is_nondc
+        if not local_hit or self.profile_windows:
+            pricing = self._pricing
+            pricing.reset(core, op, now, l1_hit_x, l1_hit_y)
+            # Pricing is purely observational (nothing is claimed until
+            # the decision executes), so reserve-phase travel queries
+            # repeated with identical arguments are memoized until the
+            # decision; the memo dies before any commit.
+            m._pure_memo = {}
+            try:
+                if self.profile_windows:
+                    self.profiler.record(
+                        op, pricing.conv_completion() - now, now,
+                        pricing.force(),
+                    )
+                if not local_hit:
+                    if pricing.any_ready():
+                        stats.opportunities_seen += 1
+                    decision = self.scheme.decide(ComputeContext(
+                        op, core, now, pricing.conv_completion, pricing,
+                        l1_hit_x, l1_hit_y,
+                    ))
+            finally:
+                m._pure_memo = None
+        if local_hit:
+            stats.ndc.skipped_local_hit += 1
+            stats.ndc.conventional += 1
             return self._exec_conventional(core, op, now)
 
-        ctx = ComputeContext(
-            op=op,
-            core=core,
-            now=now,
-            conv_completion=conv_completion,
-            candidates=candidates,
-            l1_hit_x=l1_hit_x,
-            l1_hit_y=l1_hit_y,
-        )
-        if any(c.ready < NEVER for c in candidates):
-            m.stats.opportunities_seen += 1
-        decision = self.scheme.decide(ctx)
-
         if decision.offload and decision.station is not None:
-            completion = self.ndc_executor.exec_ndc(
-                core, op, now, decision, conv_completion
-            )
+            completion = self.ndc_executor.exec_ndc(core, op, now, decision)
         else:
             reason = decision.skip_reason
             if reason == "local_hit":
-                m.stats.ndc.skipped_local_hit += 1
+                stats.ndc.skipped_local_hit += 1
             elif reason == "policy":
-                m.stats.ndc.skipped_policy += 1
+                stats.ndc.skipped_policy += 1
             elif reason == "no_station":
-                m.stats.ndc.skipped_no_station += 1
-            m.stats.ndc.conventional += 1
+                stats.ndc.skipped_no_station += 1
+            stats.ndc.conventional += 1
             completion = self._exec_conventional(core, op, now)
         return completion
 
@@ -456,9 +459,7 @@ class SystemSimulator:
         decision = self.scheme.decide(ctx)
 
         if decision.offload and decision.station is not None:
-            completion = self.ndc_executor.exec_ndc(
-                core, op, now, decision, conv_completion
-            )
+            completion = self.ndc_executor.exec_ndc(core, op, now, decision)
         else:
             reason = decision.skip_reason
             if reason == "local_hit":

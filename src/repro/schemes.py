@@ -49,12 +49,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.arch.stats import NEVER
 from repro.config import ArchConfig, NdcComponentMask, NdcLocation
 from repro.core.tunables import DEFAULT_TUNABLES, Tunables
-from repro.isa import Trace, TraceOp
+from repro.isa import OpKind, Trace, TraceOp
 
 
 @dataclass(slots=True)
@@ -108,17 +108,49 @@ class StationCandidate:
         return start + self.extra_latency + op_latency + self.d_result
 
 
-@dataclass(slots=True)
 class ComputeContext:
-    """Everything a scheme may inspect when deciding about one compute."""
+    """Everything a scheme may inspect when deciding about one compute.
 
-    op: TraceOp
-    core: int
-    now: int
-    conv_completion: int               #: absolute completion if executed on core
-    candidates: Sequence[StationCandidate]  #: in the paper's trial order
-    l1_hit_x: bool
-    l1_hit_y: bool
+    ``candidates`` is a sequence in the paper's trial order.
+    ``conv_completion`` is the absolute completion cycle if the compute
+    runs on the core; it may be given as a zero-argument callable,
+    which is called the first time the field is read.  The default
+    engine passes its on-demand pricing for both
+    (:class:`~repro.arch.candidates.ComputePricing`): iterating the
+    candidates builds each station group only when the loop reaches it,
+    and the two operand estimates behind ``conv_completion`` run only if
+    the scheme reads the field.  A context is valid only while the
+    scheme decides.
+    """
+
+    __slots__ = (
+        "op", "core", "now", "candidates", "l1_hit_x", "l1_hit_y", "_conv",
+    )
+
+    def __init__(
+        self,
+        op: TraceOp,
+        core: int,
+        now: int,
+        conv_completion: Union[int, Callable[[], int]],
+        candidates: Sequence[StationCandidate],
+        l1_hit_x: bool,
+        l1_hit_y: bool,
+    ):
+        self.op = op
+        self.core = core
+        self.now = now
+        self._conv = conv_completion
+        self.candidates = candidates
+        self.l1_hit_x = l1_hit_x
+        self.l1_hit_y = l1_hit_y
+
+    @property
+    def conv_completion(self) -> int:
+        conv = self._conv
+        if callable(conv):
+            conv = self._conv = conv()
+        return conv
 
     @property
     def conv_cost(self) -> int:
@@ -212,14 +244,15 @@ def _first_station(ctx: ComputeContext) -> Optional[StationCandidate]:
     becoming) L2-resident, else the memory side.  Whether and when the
     second operand will show up there is unknown to the scheme — that
     is exactly what makes blind waiting lose.
+
+    One scan in trial order (each location appears at most once), so
+    on-demand candidates are built only up to the station chosen.
     """
-    by_loc = {c.location: c for c in ctx.candidates}
-    net = by_loc.get(NdcLocation.NETWORK)
-    if net is not None and net.window < NEVER:
-        return net  # an in-passing link-buffer meet is actually available
-    for loc in (NdcLocation.CACHE, NdcLocation.MEMCTRL, NdcLocation.MEMORY):
-        cand = by_loc.get(loc)
-        if cand is not None and cand.avail_x < NEVER:
+    for cand in ctx.candidates:
+        if cand.location == NdcLocation.NETWORK:
+            if cand.window < NEVER:
+                return cand  # an in-passing link-buffer meet is available
+        elif cand.avail_x < NEVER:
             return cand
     for cand in ctx.candidates:
         if cand.avail_y < NEVER:
@@ -504,8 +537,6 @@ class CompilerDirected(NdcScheme):
         return ("CompilerDirected", self.default_timeout)
 
     def decide(self, ctx: ComputeContext) -> Decision:
-        from repro.isa import OpKind
-
         if ctx.op.kind != OpKind.PRE_COMPUTE:
             return CONVENTIONAL
         mask: NdcComponentMask = ctx.op.mask

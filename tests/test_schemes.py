@@ -54,6 +54,29 @@ class TestStationCandidate:
         assert cand(avail_y=NEVER).completion() >= NEVER
 
 
+class TestComputeContext:
+    def test_conv_completion_priced_on_first_read(self):
+        calls = []
+
+        def price():
+            calls.append(1)
+            return 250
+
+        c = S.ComputeContext(compute(1, 0x100, 0x200), 0, 50, price, (),
+                             False, False)
+        assert calls == []
+        assert c.conv_completion == 250 and c.conv_cost == 200
+        assert calls == [1]
+
+    def test_blind_scheme_never_prices_conv(self):
+        def price():
+            raise AssertionError("a blind scheme read the estimate")
+
+        c = S.ComputeContext(compute(1, 0x100, 0x200), 0, 50, price,
+                             (cand(),), False, False)
+        assert S.WaitFraction(25).decide(c).offload
+
+
 class TestNoNdc:
     def test_always_conventional(self):
         d = S.NoNdc().decide(ctx(candidates=[cand()]))
@@ -73,6 +96,12 @@ class TestBlindFirstStation:
         mc = cand(NdcLocation.MEMCTRL, avail_x=90, avail_y=95)
         d = S.WaitForever().decide(ctx(candidates=[net, cache, mc]))
         assert d.station.location == NdcLocation.CACHE
+
+    def test_partner_only_station_is_last_resort(self):
+        cache = cand(NdcLocation.CACHE, avail_x=NEVER, avail_y=NEVER)
+        mc = cand(NdcLocation.MEMCTRL, avail_x=NEVER, avail_y=95)
+        d = S.WaitForever().decide(ctx(candidates=[cache, mc]))
+        assert d.station is mc
 
     def test_no_station(self):
         c = cand(avail_x=NEVER, avail_y=NEVER)
