@@ -221,7 +221,6 @@ def _lineup_tier(
     def chunk(profile: str) -> Callable[[], None]:
         def go() -> None:
             tracegen.clear_cache()
-            batch_mod.clear_trace_cache()
             for _ in batch_mod.execute_batch(
                 cfg, keys, engine_profile=profile
             ):

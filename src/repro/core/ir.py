@@ -26,6 +26,8 @@ from repro.config import OpClass
 IntMatrix = Tuple[Tuple[int, ...], ...]
 IntVector = Tuple[int, ...]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in rows)
@@ -107,6 +109,40 @@ class ArrayRef:
     def address(self, iteration: Sequence[int]) -> int:
         return self.array.address(self.subscripts(iteration))
 
+    def addresses(self, points: np.ndarray) -> List[int]:
+        """:meth:`address` of every row of an ``(n, k)`` int64 array.
+
+        Each subscript row is truncated to the point's length, as the
+        ``zip`` in :meth:`subscripts` truncates it, and ``np.mod``
+        wraps with Python's sign rule, so every entry equals the
+        per-point address.  The entries are Python ints.
+        """
+        arr = self.array
+        if len(points) == 0:
+            return []
+        self._check_int64(points)
+        depth = points.shape[1]
+        off = np.zeros(len(points), dtype=np.int64)
+        for row, c, dim in zip(self.F, self.f, arr.shape):
+            k = min(len(row), depth)
+            sub = points[:, :k] @ np.array(row[:k], dtype=np.int64) + c
+            off = off * dim + np.mod(sub, dim)
+        return (arr.base + off * arr.element_size).tolist()
+
+    def _check_int64(self, points: np.ndarray) -> None:
+        """Refuse what int64 arithmetic would wrap (Python ints grow)."""
+        reach = np.abs(points).max(axis=0).tolist()
+        worst = max(
+            (sum(abs(a) * m for a, m in zip(row, reach)) + abs(c)
+             for row, c in zip(self.F, self.f)),
+            default=0,
+        )
+        arr = self.array
+        if worst > _INT64_MAX or arr.base + arr.size_bytes > _INT64_MAX:
+            raise ValueError(
+                f"ref to {arr.name}: addresses do not fit in int64"
+            )
+
     def is_uniform_with(self, other: "ArrayRef") -> bool:
         """Uniformly generated pair: same array, identical F."""
         return self.array.name == other.array.name and self.F == other.F
@@ -153,6 +189,11 @@ class OpaqueRef:
 
     def address(self, iteration: Sequence[int]) -> int:
         return self.array.address(self.resolver(iteration))
+
+    def addresses(self, points: np.ndarray) -> List[int]:
+        """:meth:`address` of every row of ``points``, one resolver call
+        per point: a resolver is arbitrary Python and sees a tuple."""
+        return [self.address(p) for p in map(tuple, points.tolist())]
 
     def __repr__(self) -> str:
         return f"{self.array.name}[<{self.tag}>]"
@@ -254,16 +295,19 @@ class LoopNest:
         ranges = [range(l, u + 1) for l, u in zip(self.lower, self.upper)]
         return iter(tuple(i) for i in itertools.product(*ranges))
 
-    def scheduled_iterations(self) -> List[IntVector]:
-        """Iterations in *execution* order under the installed transform."""
-        pts = list(self.iter_space())
+    def scheduled_points(self) -> np.ndarray:
+        """Iterations in *execution* order under the installed transform,
+        as one ``(iterations, depth)`` int64 array."""
+        pts = np.indices(self.trip_counts, dtype=np.int64)
+        pts = pts.reshape(self.depth, -1).T + np.array(self.lower, dtype=np.int64)
         if self.transform is None:
             return pts
-        T = np.asarray(self.transform, dtype=np.int64)
-        arr = np.asarray(pts, dtype=np.int64)
-        keys = arr @ T.T
-        order = np.lexsort(tuple(keys[:, k] for k in reversed(range(keys.shape[1]))))
-        return [pts[i] for i in order]
+        keys = pts @ np.array(self.transform, dtype=np.int64).T
+        return pts[np.lexsort(keys.T[::-1])]
+
+    def scheduled_iterations(self) -> List[IntVector]:
+        """:meth:`scheduled_points` as a list of tuples."""
+        return [tuple(p) for p in self.scheduled_points().tolist()]
 
     def with_transform(self, T: IntMatrix) -> "LoopNest":
         return replace(self, transform=_as_matrix(T))

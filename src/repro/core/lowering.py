@@ -16,19 +16,28 @@ Each statement instance lowers to trace ops:
   value, and (for network-station plans) a per-instance route hint
   maximizing link overlap for that instance's actual operand homes.
 
-After emission, a backward pass over each core's stream fills the
-ground-truth future-reuse flags (``x_reused``/``y_reused``) the oracle
-scheme consumes — any later access by the same core to the same L1
+A nest lowers in bulk: its scheduled points are one int64 array, each
+reference computes all of its addresses at once
+(:meth:`~repro.core.ir.ArrayRef.addresses`), and every instance of a
+statement's ``WORK`` op is one shared (frozen) object.
+
+Computes wait as plain records until a backward pass over each core's
+stream has found their ground-truth future-reuse flags
+(``x_reused``/``y_reused``, which the oracle scheme consumes), so each
+op is built once.  Any later access by the same core to the same L1
 line counts, mirroring the paper's footnote that the reuse need not be
 within a bounded number of cycles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.topology import mesh_for
-from repro.config import ArchConfig
+from repro.config import ArchConfig, NdcComponentMask
 from repro.core.algorithm1 import OffloadPlan
 from repro.core.ir import LoopNest, Program, Statement
 from repro.core.routing_opt import RouteSelector
@@ -57,120 +66,6 @@ def _partition(lower: int, upper: int, cores: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _shift_map(nest: LoopNest) -> Dict[int, Tuple[int, ...]]:
-    return {sid: delta for sid, delta in nest.stmt_shifts}
-
-
-class _Emitter:
-    """Per-core op-stream builder."""
-
-    def __init__(
-        self,
-        cfg: ArchConfig,
-        core: int,
-        plans: Dict[int, OffloadPlan],
-        route_selector: Optional[RouteSelector],
-    ):
-        self.cfg = cfg
-        self.core = core
-        self.plans = plans
-        self.routes = route_selector
-        self.ops: List[TraceOp] = []
-
-    def emit_statement(self, st: Statement, iteration: Tuple[int, ...]) -> None:
-        if st.work > 0:
-            self.ops.append(TraceOp(OpKind.WORK, pc_of(st.sid, 14), cost=st.work))
-        for k, r in enumerate(st.reads):
-            self.ops.append(
-                TraceOp(OpKind.LOAD, pc_of(st.sid, k), addr=r.address(iteration))
-            )
-        if st.compute is not None:
-            self._emit_compute(st, iteration)
-        for k, w in enumerate(st.writes):
-            self.ops.append(
-                TraceOp(
-                    OpKind.STORE, pc_of(st.sid, 8 + k), addr=w.address(iteration)
-                )
-            )
-
-    def _emit_compute(self, st: Statement, iteration: Tuple[int, ...]) -> None:
-        spec = st.compute
-        assert spec is not None
-        ax = spec.x.address(iteration)
-        ay = spec.y.address(iteration)
-        dest = spec.dest.address(iteration) if spec.dest is not None else None
-        plan = self.plans.get(st.sid)
-        pc = pc_of(st.sid)
-        if plan is None:
-            self.ops.append(
-                TraceOp(
-                    OpKind.COMPUTE, pc, addr=ax, addr2=ay, dest=dest, op=spec.op
-                )
-            )
-            return
-        hint = self._route_hint(ax, ay) if plan.use_route_hints else None
-        self.ops.append(
-            TraceOp(
-                OpKind.PRE_COMPUTE,
-                pc,
-                addr=ax,
-                addr2=ay,
-                dest=dest,
-                op=spec.op,
-                mask=plan.mask,
-                route_hint=hint,
-                timeout=plan.timeout,
-                pred_reuse=False,
-            )
-        )
-
-    def _route_hint(self, ax: int, ay: int) -> Optional[RouteHint]:
-        if self.routes is None:
-            return None
-        hx = self.cfg.l2_home_node(ax)
-        hy = self.cfg.l2_home_node(ay)
-        if hx == self.core or hy == self.core:
-            return None
-        plan = self.routes.plan(self.core, hx, hy)
-        if plan.common_links == 0:
-            return None
-        return plan.hint
-
-
-def lower_nest(
-    cfg: ArchConfig,
-    nest: LoopNest,
-    cores: int,
-    plans: Dict[int, OffloadPlan],
-    emitters: Sequence[_Emitter],
-) -> None:
-    """Emit one nest into every core's stream (block-partitioned)."""
-    shifts = _shift_map(nest)
-    blocks = _partition(nest.lower[0], nest.upper[0], cores)
-    iterations = nest.scheduled_iterations()
-    lower, upper = nest.lower, nest.upper
-    for it in iterations:
-        owner = _owner_of(it[0], blocks)
-        if owner is None:
-            continue
-        em = emitters[owner]
-        for st in nest.body:
-            delta = shifts.get(st.sid)
-            inst = it if delta is None else tuple(a + b for a, b in zip(it, delta))
-            if delta is not None and not all(
-                l <= v <= u for v, l, u in zip(inst, lower, upper)
-            ):
-                continue  # shifted instance falls outside the space
-            em.emit_statement(st, inst)
-
-
-def _owner_of(outer: int, blocks: List[Tuple[int, int]]) -> Optional[int]:
-    for c, (lo, hi) in enumerate(blocks):
-        if lo <= outer <= hi:
-            return c
-    return None
-
-
 def lower_program(
     program: Program,
     cfg: ArchConfig,
@@ -185,50 +80,168 @@ def lower_program(
     plans = plans or {}
     needs_routes = any(p.use_route_hints for p in plans.values())
     selector = RouteSelector(cfg, mesh) if needs_routes else None
-    emitters = [_Emitter(cfg, c, plans, selector) for c in range(n_cores)]
+    streams: List[list] = [[] for _ in range(n_cores)]
     for nest in program.nests:
-        lower_nest(cfg, nest, n_cores, plans, emitters)
-    streams = [annotate_reuse(cfg, em.ops) for em in emitters]
-    return make_trace(streams)
+        _lower_nest(cfg, nest, plans, selector, streams)
+    line = cfg.l1.line_bytes
+    return make_trace(_with_reuse_flags(s, line) for s in streams)
 
 
-def annotate_reuse(cfg: ArchConfig, ops: List[TraceOp]) -> List[TraceOp]:
-    """Fill ground-truth future-reuse flags on compute ops (backward scan).
+def _lower_nest(
+    cfg: ArchConfig,
+    nest: LoopNest,
+    plans: Dict[int, OffloadPlan],
+    selector: Optional[RouteSelector],
+    streams: List[list],
+) -> None:
+    """Append one nest's ops to every core's stream (block-partitioned)."""
+    pts = nest.scheduled_points()
+    blocks = _partition(nest.lower[0], nest.upper[0], len(streams))
+    starts = np.array([lo for lo, _ in blocks], dtype=np.int64)
+    owner = np.searchsorted(starts, pts[:, 0], side="right") - 1
+    # Group the points by core; the stable sort keeps each core's
+    # share in execution order.
+    by_core = np.argsort(owner, kind="stable")
+    pts, owner = pts[by_core], owner[by_core]
+    shifts = dict(nest.stmt_shifts)
+    columns = [
+        _statement_ops(cfg, nest, st, pts, owner, shifts.get(st.sid),
+                       plans.get(st.sid), selector)
+        for st in nest.body
+    ]
+    rows = list(zip(*columns))  # per point: each statement's op tuple
+    ends = np.cumsum(np.bincount(owner, minlength=len(streams))).tolist()
+    lo = 0
+    for stream, hi in zip(streams, ends):
+        stream.extend(chain.from_iterable(chain.from_iterable(rows[lo:hi])))
+        lo = hi
+
+
+def _statement_ops(
+    cfg: ArchConfig,
+    nest: LoopNest,
+    st: Statement,
+    pts: np.ndarray,
+    owner: np.ndarray,
+    delta: Optional[Tuple[int, ...]],
+    plan: Optional[OffloadPlan],
+    selector: Optional[RouteSelector],
+) -> list:
+    """One statement's ops at every point, as one tuple per point (empty
+    where a shifted instance falls outside the space)."""
+    n = len(pts)
+    if delta is not None:
+        # Point I runs the statement's instance I + Δ, truncated like
+        # ``zip`` truncates when Δ and the depth differ in length.
+        d = min(pts.shape[1], len(delta))
+        pts = pts[:, :d] + np.array(delta[:d], dtype=np.int64)
+        inside = np.all(
+            (pts >= np.array(nest.lower[:d])) & (pts <= np.array(nest.upper[:d])),
+            axis=1,
+        )
+        kept = np.flatnonzero(inside)
+        pts, owner = pts[kept], owner[kept]
+    m = len(pts)
+    cols: List[list] = []
+    if st.work > 0:
+        cols.append([TraceOp(OpKind.WORK, pc_of(st.sid, 14), cost=st.work)] * m)
+    for k, r in enumerate(st.reads):
+        pc = pc_of(st.sid, k)
+        cols.append([TraceOp(OpKind.LOAD, pc, a) for a in r.addresses(pts)])
+    if st.compute is not None:
+        cols.append(_compute_records(cfg, st, pts, owner, plan, selector))
+    for k, w in enumerate(st.writes):
+        pc = pc_of(st.sid, 8 + k)
+        cols.append([TraceOp(OpKind.STORE, pc, a) for a in w.addresses(pts)])
+    ops = list(zip(*cols)) if cols else [()] * m
+    if delta is None:
+        return ops
+    out: list = [()] * n
+    for i, inst in zip(kept.tolist(), ops):
+        out[i] = inst
+    return out
+
+
+def _compute_records(
+    cfg: ArchConfig,
+    st: Statement,
+    pts: np.ndarray,
+    owner: np.ndarray,
+    plan: Optional[OffloadPlan],
+    selector: Optional[RouteSelector],
+) -> List[tuple]:
+    """The statement's compute at every point, as ``TraceOp`` argument
+    tuples short of the reuse flags (see :func:`_with_reuse_flags`)."""
+    spec = st.compute
+    assert spec is not None
+    ax = spec.x.addresses(pts)
+    ay = spec.y.addresses(pts)
+    dest = spec.dest.addresses(pts) if spec.dest is not None else repeat(None)
+    pc = pc_of(st.sid)
+    if plan is None:
+        kind, pred, mask, timeout = OpKind.COMPUTE, None, NdcComponentMask.ALL, 0
+        hints = repeat(None)
+    else:
+        kind, pred, mask, timeout = (
+            OpKind.PRE_COMPUTE, False, plan.mask, plan.timeout
+        )
+        hints = (
+            _route_hints(cfg, selector, owner, ax, ay)
+            if plan.use_route_hints else repeat(None)
+        )
+    return [
+        (kind, pc, x, y, d, spec.op, pred, mask, h, timeout)
+        for x, y, d, h in zip(ax, ay, dest, hints)
+    ]
+
+
+def _route_hints(
+    cfg: ArchConfig,
+    selector: RouteSelector,
+    owner: np.ndarray,
+    ax: List[int],
+    ay: List[int],
+) -> List[Optional[RouteHint]]:
+    """Per-instance route hints for the instance's actual operand homes
+    (none when a home is the issuing core or the routes share no link)."""
+    home = cfg.l2_home_node
+    hints: List[Optional[RouteHint]] = []
+    for core, x, y in zip(owner.tolist(), ax, ay):
+        hx, hy = home(x), home(y)
+        if hx == core or hy == core:
+            hints.append(None)
+            continue
+        plan = selector.plan(core, hx, hy)
+        hints.append(plan.hint if plan.common_links else None)
+    return hints
+
+
+def _with_reuse_flags(stream: list, line: int) -> List[TraceOp]:
+    """Build each compute record of one core's stream into its
+    ``TraceOp``, with ground-truth future-reuse flags (backward scan).
 
     An operand counts as reused when the same core touches its L1 line
     anywhere later in its stream — by any op, including other computes —
     mirroring the paper's footnote that the reuse need not occur within
     a bounded number of cycles.  Line granularity matters: offloading a
     compute strands the operand *line* outside the L1, so spatial
-    neighbours count as reuse too.
+    neighbours count as reuse too.  A compute's own accesses are not
+    later than itself.
     """
-    line = cfg.l1.line_bytes
-    #: line -> set of static pcs that touch it later in the stream
-    future: Dict[int, set] = {}
-    out: List[Optional[TraceOp]] = [None] * len(ops)
-
-    def touches(op: TraceOp) -> List[int]:
-        t = []
-        if op.kind in (OpKind.LOAD, OpKind.STORE):
-            t.append(op.addr // line)
-        elif op.kind in (OpKind.COMPUTE, OpKind.PRE_COMPUTE):
-            t.append(op.addr // line)
-            t.append(op.addr2 // line)
-            if op.dest is not None:
-                t.append(op.dest // line)
-        return t
-
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if op.kind in (OpKind.COMPUTE, OpKind.PRE_COMPUTE):
-            xr = bool(future.get(op.addr // line))
-            yr = bool(future.get(op.addr2 // line))
-            if xr != op.x_reused or yr != op.y_reused:
-                op = TraceOp(
-                    op.kind, op.pc, op.addr, op.addr2, op.dest, op.op, op.cost,
-                    xr, yr, op.pred_reuse, op.mask, op.route_hint, op.timeout,
-                )
-        out[i] = op
-        for ln in touches(op):
-            future.setdefault(ln, set()).add(op.pc)
-    return [o for o in out if o is not None]
+    later = set()
+    out: List[TraceOp] = []
+    for op in reversed(stream):
+        if type(op) is tuple:
+            kind, pc, x, y, dest, opc, pred, mask, hint, timeout = op
+            lx, ly = x // line, y // line
+            op = TraceOp(kind, pc, x, y, dest, opc, 1, lx in later,
+                         ly in later, pred, mask, hint, timeout)
+            later.add(lx)
+            later.add(ly)
+            if dest is not None:
+                later.add(dest // line)
+        elif op.kind is not OpKind.WORK:
+            later.add(op.addr // line)
+        out.append(op)
+    out.reverse()
+    return out

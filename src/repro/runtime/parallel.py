@@ -198,22 +198,19 @@ def execute_job(
     scheme=None,
     event_bus=None,
     engine_profile: str = OPTIMIZED,
-    trace=None,
 ) -> SimulationResult:
     """Compile, lower, and simulate one job.  Pure and deterministic:
     the result depends only on ``(cfg, key)``; an attached ``event_bus``
     observes the run without changing it, and ``engine_profile`` selects
-    an implementation whose results are pinned identical.  ``trace``
-    optionally supplies the already-compiled trace for this key (the
-    batch executor's amortization); it must equal what
-    ``compiled_trace`` would produce."""
+    an implementation whose results are pinned identical.  Jobs that
+    share a trace signature share the trace object through
+    ``compiled_trace``'s cache."""
     if scheme is None and key.scheme_spec is not None:
         scheme = scheme_from_spec(key.scheme_spec)
-    if trace is None:
-        trace, _ = compiled_trace(
-            key.bench, key.variant, key.scale, cfg,
-            tunables=key.tunables, **dict(key.trace_opts)
-        )
+    trace, _ = compiled_trace(
+        key.bench, key.variant, key.scale, cfg,
+        tunables=key.tunables, **dict(key.trace_opts)
+    )
     if scheme is not None:
         # Pre-run hook (profile-guided schemes run their warm-up here).
         # Sitting on this seam covers every execution path — serial,

@@ -22,7 +22,8 @@ sweeps.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Optional, Tuple
 
 from repro.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.algorithm1 import Algorithm1, PassReport
@@ -32,7 +33,7 @@ from repro.core.tunables import Tunables
 from repro.isa import Trace
 from repro.workloads.suite import build_benchmark
 
-_cache: Dict[tuple, Tuple[Trace, Optional[PassReport]]] = {}
+_cache: "OrderedDict[tuple, Tuple[Trace, Optional[PassReport]]]" = OrderedDict()
 _CACHE_MAX = 128
 
 
@@ -65,6 +66,7 @@ def compiled_trace(
            tuple(sorted(pass_options.items())))
     hit = _cache.get(key)
     if hit is not None:
+        _cache.move_to_end(key)
         return hit
 
     program = build_benchmark(name, scale)
@@ -104,7 +106,7 @@ def compiled_trace(
     trace = lower_program(program, cfg, plans, cores)
 
     if len(_cache) >= _CACHE_MAX:
-        _cache.pop(next(iter(_cache)))
+        _cache.popitem(last=False)
     _cache[key] = (trace, report)
     return trace, report
 

@@ -7,7 +7,7 @@ execution.  Two contracts are pinned here:
 1. **result identity** — ``execute_batch`` over a lineup chunk yields
    exactly what per-unit ``execute_job`` computes for each key;
 2. **amortization is real** — jobs sharing a trace signature share the
-   trace *object* (generated once per chunk).
+   trace *object* (generated once per chunk, through tracegen's cache).
 
 Fault fallback lives in the runtime's one ladder
 (``tests/test_runtime_faults.py``), and byte-identity across campaign
@@ -21,6 +21,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.runtime import JobKey, config_digest
 from repro.runtime import batch as batch_mod
 from repro.runtime.parallel import execute_job
+from repro.workloads import tracegen
 
 SCALE = 0.08
 CFG_DIGEST = config_digest(DEFAULT_CONFIG)
@@ -40,10 +41,10 @@ def lineup_keys(benchmark: str = "fft"):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_trace_lru():
-    batch_mod.clear_trace_cache()
+def _fresh_trace_cache():
+    tracegen.clear_cache()
     yield
-    batch_mod.clear_trace_cache()
+    tracegen.clear_cache()
 
 
 class TestExecuteBatch:
@@ -66,7 +67,10 @@ class TestExecuteBatch:
         keys = [k for k in lineup_keys() if k.variant == "original"]
         assert len(keys) >= 2, "lineup must reuse the original variant"
         traces = [
-            batch_mod.cached_compiled_trace(DEFAULT_CONFIG, k)[0]
+            tracegen.compiled_trace(
+                k.bench, k.variant, k.scale, DEFAULT_CONFIG,
+                tunables=k.tunables, **dict(k.trace_opts)
+            )[0]
             for k in keys
         ]
         for other in traces[1:]:
@@ -84,7 +88,7 @@ class TestExecuteBatch:
     def test_lazy_yielding(self):
         """The generator does no work before iteration."""
         it = batch_mod.execute_batch(DEFAULT_CONFIG, lineup_keys())
-        assert len(batch_mod._trace_lru) == 0
+        assert len(tracegen._cache) == 0
         next(it)
-        assert len(batch_mod._trace_lru) == 1
+        assert len(tracegen._cache) == 1
         it.close()

@@ -1,6 +1,8 @@
 """Loop-nest IR: arrays, references, statements, nests, allocation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import OpClass
 from repro.core.ir import (
@@ -69,6 +71,51 @@ class TestArrayRef:
     def test_opaque_ref_resolution(self, A):
         o = OpaqueRef(A, lambda it: (it[0] % 8, 0), tag="t")
         assert o.address((9,)) == A.address((1, 0))
+
+    def test_opaque_bulk_addresses_resolve_per_point(self, A):
+        o = OpaqueRef(A, lambda it: (it[0] % 8, it[1]), tag="t")
+        pts = np.array([[9, 2], [-1, 0]], dtype=np.int64)
+        assert o.addresses(pts) == [A.address((1, 2)), A.address((7, 0))]
+
+    def test_bulk_addresses_refuse_an_extent_past_int64(self):
+        huge = Array("huge", (4,), base=(1 << 63) - 16, element_size=8)
+        with pytest.raises(ValueError, match="huge"):
+            ref(huge, (1, 0)).addresses(np.zeros((1, 1), dtype=np.int64))
+
+    def test_bulk_addresses_refuse_subscripts_past_int64(self):
+        X = Array("X", (7,), base=0)
+        r = ref(X, (1 << 62, 0))
+        with pytest.raises(ValueError, match="X"):
+            r.addresses(np.array([[4]], dtype=np.int64))
+        # The per-point address, in Python ints, does not wrap.
+        assert r.address((4,)) == (1 << 64) % 7 * 8
+
+
+@st.composite
+def refs_and_points(draw):
+    """An affine reference of rank 1-3 and iteration points whose depth
+    may be below, at or above the length of its subscript rows."""
+    rank = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, 12), min_size=rank, max_size=rank))
+    array = Array("X", tuple(shape), base=draw(st.integers(0, 1 << 40)),
+                  element_size=draw(st.sampled_from([1, 4, 8, 16, 64])))
+    row_len = draw(st.integers(0, 4))
+    coeffs = st.lists(st.integers(-6, 6), min_size=row_len, max_size=row_len)
+    F = [draw(coeffs) for _ in range(rank)]
+    f = draw(st.lists(st.integers(-50, 50), min_size=rank, max_size=rank))
+    depth = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-40, 40), min_size=depth, max_size=depth)
+    points = draw(st.lists(point, min_size=1, max_size=30))
+    return ArrayRef(array, F, f), np.array(points, dtype=np.int64)
+
+
+@given(refs_and_points())
+@settings(max_examples=300, deadline=None)
+def test_bulk_addresses_equal_per_point_addresses(case):
+    r, points = case
+    got = r.addresses(points)
+    assert got == [r.address(tuple(p)) for p in points.tolist()]
+    assert all(type(a) is int for a in got)
 
 
 class TestStatement:

@@ -104,6 +104,18 @@ class TestCompiledVariants:
         b = benchmark_trace("lu", scale=0.12)
         assert a is b  # LRU-cached
 
+    def test_cache_evicts_least_recently_used(self, monkeypatch):
+        """A hit refreshes its entry: an entry read again survives the
+        next eviction, and an entry not read again does not."""
+        monkeypatch.setattr(tracegen, "_CACHE_MAX", 2)
+        tracegen.clear_cache()
+        lu = benchmark_trace("lu", scale=0.1)
+        fft = benchmark_trace("fft", scale=0.1)
+        assert benchmark_trace("lu", scale=0.1) is lu
+        benchmark_trace("swim", scale=0.1)  # evicts one entry
+        assert benchmark_trace("lu", scale=0.1) is lu
+        assert benchmark_trace("fft", scale=0.1) is not fft
+
     @pytest.mark.parametrize("bench,variant,override", [
         ("md", "alg1", lambda c: dataclasses.replace(
             c, memory=dataclasses.replace(c.memory, interleave_bytes=1024))),
