@@ -46,7 +46,6 @@ from repro.config import (
 )
 from repro.core.cme import CmeEstimator
 from repro.core.lowering import pc_of
-from repro.isa import Trace
 from repro.workloads.suite import build_benchmark, resolve_benchmarks
 from repro.workloads.tracegen import compiled_trace
 
@@ -113,7 +112,6 @@ class ExperimentRunner:
         # winners (see repro.tuning), explicit defaults normalized away.
         self.tunables = resolve_tunables(tunables, scale)
         self._cfg_digest = config_digest(cfg)
-        self._reports: Dict[tuple, object] = {}
 
     @property
     def stats(self) -> "RunnerStats":
@@ -141,19 +139,13 @@ class ExperimentRunner:
             return factory(tunables=self.tunables)
         return factory()
 
-    def trace(self, bench: str, variant: str = "original", **opts) -> Trace:
-        t, report = compiled_trace(
+    def pass_report(self, bench: str, variant: str, **opts):
+        """The compiler pass report of one variant (tracegen's cache
+        holds it beside the trace)."""
+        return compiled_trace(
             bench, variant, self.scale, self.cfg,
             tunables=self.tunables, **opts
-        )
-        self._reports[(bench, variant, tuple(sorted(opts.items())))] = report
-        return t
-
-    def pass_report(self, bench: str, variant: str, **opts):
-        key = (bench, variant, tuple(sorted(opts.items())))
-        if key not in self._reports:
-            self.trace(bench, variant, **opts)
-        return self._reports[key]
+        )[1]
 
     def job_key(
         self,

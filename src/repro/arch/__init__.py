@@ -20,7 +20,6 @@ from repro.arch.engine import (
     CapacityTimeline,
     ReferenceCapacityTimeline,
     ResourceTimeline,
-    capacity_timeline,
 )
 from repro.arch.events import EventBus, TraceWriter
 from repro.arch.machine import MachineState
@@ -46,7 +45,6 @@ __all__ = [
     "CapacityTimeline",
     "ReferenceCapacityTimeline",
     "ResourceTimeline",
-    "capacity_timeline",
     "EventBus",
     "TraceWriter",
     "MachineState",

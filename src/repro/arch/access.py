@@ -231,6 +231,9 @@ class FusedAccessPath(AccessPath):
     same statistics, same cache mutations — with the per-access address
     arithmetic replaced by one memoized lookup and the Journey/stamp
     construction skipped when no window profiler will ever read it.
+    :meth:`access` runs the committed walk; the default engine prices
+    through :meth:`estimate`, so a ``commit=False`` call (which only
+    tests make) takes the base class's walk.
     """
 
     def access(
@@ -242,6 +245,9 @@ class FusedAccessPath(AccessPath):
         allocate_l1: bool = True,
         pc: int = -1,
     ) -> AccessPlan:
+        if not commit:
+            return AccessPath.access(self, core, addr, now, False,
+                                     allocate_l1, pc)
         m = self.m
         cfg = m.cfg
         l1 = m.l1[core]
@@ -249,83 +255,66 @@ class FusedAccessPath(AccessPath):
         if info is None:
             info = m.addr_fact(addr)
         home = info[0]
-        if commit:
-            l1_hit = l1.access(addr, allocate=allocate_l1).hit
-        else:
-            l1_hit = l1.probe(addr)
         stats = m.stats
-        if l1_hit:
-            if commit:
-                stats.l1_hits += 1
-                if pc >= 0:
-                    m.record_pc(pc, l1_hit=True)
+        if l1.access(addr, allocate=allocate_l1).hit:
+            stats.l1_hits += 1
+            if pc >= 0:
+                m.record_pc(pc, l1_hit=True)
             return AccessPlan(now + cfg.l1.access_latency, True, False, home)
 
-        keep = commit and m.keep_journeys
+        keep = m.keep_journeys
         journey = Journey(t_issue=now) if keep else None
-        if commit:
-            stats.l1_misses += 1
+        stats.l1_misses += 1
         t = now + cfg.l1.access_latency
         if keep:
-            t_req, req_links = m.travel(
-                core, home, t, REQ_BYTES, commit, stamps=True
-            )
+            t_req, req_links = m.travel(core, home, t, REQ_BYTES, True)
         else:
-            t_req = m.travel_time(core, home, t, REQ_BYTES, commit)
+            t_req = m.travel_time(core, home, t, REQ_BYTES, True)
             req_links = ()
-        t_req = m.l2_port_start(home, t_req, commit)
+        t_req = m.l2_port_start(home, t_req, True)
 
         l2_line = info[1]
         dirty = m.dirty.get(l2_line)
         if dirty is not None and dirty[0] != core and dirty[1] > t_req:
             owner = dirty[0]
             t_fwd = m.travel_time(
-                home, owner, t_req + cfg.l2.access_latency, REQ_BYTES, commit
+                home, owner, t_req + cfg.l2.access_latency, REQ_BYTES, True
             )
             t_done = m.travel_time(
                 owner, core, t_fwd + cfg.l1.access_latency,
-                cfg.l1.line_bytes, commit,
+                cfg.l1.line_bytes, True,
             )
-            if commit:
-                stats.l2_misses += 1
-                if pc >= 0:
-                    m.record_pc(pc, l1_hit=False, l2_hit=False)
-                if allocate_l1:
-                    l1.fill(addr)
-                if journey is not None:
-                    journey.l2 = (home, t_req)
-                    journey.links = req_links
-                    m.journeys[addr // cfg.l1.line_bytes] = journey
+            stats.l2_misses += 1
+            if pc >= 0:
+                m.record_pc(pc, l1_hit=False, l2_hit=False)
+            if allocate_l1:
+                l1.fill(addr)
+            if journey is not None:
+                journey.l2 = (home, t_req)
+                journey.links = req_links
+                m.journeys[addr // cfg.l1.line_bytes] = journey
             return AccessPlan(t_done, False, False, home, journey)
 
         l2bank = m.l2[home]
         pending = m.pending_l2_fill.get(l2_line, 0)
-        if commit and 0 < pending <= t_req:
+        if 0 < pending <= t_req:
             l2bank.fill(addr)
             del m.pending_l2_fill[l2_line]
             m.dirty.pop(l2_line, None)
             pending = 0
-        if commit:
-            if pending > t_req:
-                l2bank.access(addr)
-                l2_hit = True
-                t_data = max(pending, t_req + cfg.l2.access_latency)
-            else:
-                l2_hit = l2bank.access(addr).hit
-                t_data = t_req + cfg.l2.access_latency
-            if l2_hit:
-                stats.l2_hits += 1
-            else:
-                stats.l2_misses += 1
-            if pc >= 0:
-                m.record_pc(pc, l1_hit=False, l2_hit=l2_hit)
+        if pending > t_req:
+            l2bank.access(addr)
+            l2_hit = True
+            t_data = max(pending, t_req + cfg.l2.access_latency)
         else:
-            l2_hit = l2bank.probe(addr) or pending > t_req
-            t_data = (
-                max(pending, t_req + cfg.l2.access_latency)
-                if pending > t_req
-                else t_req + cfg.l2.access_latency
-            )
+            l2_hit = l2bank.access(addr).hit
+            t_data = t_req + cfg.l2.access_latency
+        if l2_hit:
+            stats.l2_hits += 1
+        else:
+            stats.l2_misses += 1
+        if pc >= 0:
+            m.record_pc(pc, l1_hit=False, l2_hit=l2_hit)
         if journey is not None:
             journey.l2 = (home, t_req)
 
@@ -334,33 +323,26 @@ class FusedAccessPath(AccessPath):
             mc_node = info[3]
             if keep:
                 t_mc, mc_links = m.travel(
-                    home, mc_node, t_data, REQ_BYTES, commit, stamps=True
+                    home, mc_node, t_data, REQ_BYTES, True
                 )
             else:
-                t_mc = m.travel_time(home, mc_node, t_data, REQ_BYTES, commit)
+                t_mc = m.travel_time(home, mc_node, t_data, REQ_BYTES, True)
                 mc_links = ()
-            mc = m.mcs[mc_id]
-            if commit:
-                t_mem = mc.access(addr, t_mc)
-            else:
-                t_mem = t_mc + mc.queue_delay_estimate(addr, t_mc) + \
-                    mc.service_time("miss")
+            t_mem = m.mcs[mc_id].access(addr, t_mc)
             if journey is not None:
                 journey.mc = (mc_id, t_mc)
                 journey.bank = (mc_id, info[4], t_mem)
             if keep:
                 t_fill, fill_links = m.travel(
-                    mc_node, home, t_mem, cfg.l2.line_bytes, commit,
-                    stamps=True,
+                    mc_node, home, t_mem, cfg.l2.line_bytes, True
                 )
             else:
                 t_fill = m.travel_time(
-                    mc_node, home, t_mem, cfg.l2.line_bytes, commit
+                    mc_node, home, t_mem, cfg.l2.line_bytes, True
                 )
                 fill_links = ()
-            if commit:
-                l2bank.fill(addr)
-                m.pending_l2_fill[l2_line] = t_fill
+            l2bank.fill(addr)
+            m.pending_l2_fill[l2_line] = t_fill
             t_data = t_fill
             extra_links = mc_links + fill_links
         else:
@@ -368,14 +350,14 @@ class FusedAccessPath(AccessPath):
 
         if keep:
             t_done, resp_links = m.travel(
-                home, core, t_data, cfg.l1.line_bytes, commit, stamps=True
+                home, core, t_data, cfg.l1.line_bytes, True
             )
         else:
             t_done = m.travel_time(
-                home, core, t_data, cfg.l1.line_bytes, commit
+                home, core, t_data, cfg.l1.line_bytes, True
             )
             resp_links = ()
-        if commit and allocate_l1:
+        if allocate_l1:
             l1.fill(addr)
         if journey is not None:
             journey.links = req_links + extra_links + resp_links

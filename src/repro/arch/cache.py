@@ -134,10 +134,6 @@ class SetAssociativeCache:
             return True
         return False
 
-    def flush(self) -> None:
-        for s in self._sets:
-            s.clear()
-
     # ------------------------------------------------------------------
     @property
     def accesses(self) -> int:
@@ -151,9 +147,6 @@ class SetAssociativeCache:
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.fills = self.evictions = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SetAssociativeCache({self.name}, "

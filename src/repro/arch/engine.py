@@ -29,22 +29,18 @@ approximation used to add; no simulator option selects it.
 :class:`CapacityTimeline` is the companion abstraction for *slotted*
 resources (NDC service and offload tables): reservations are intervals
 too, but the constraint is a maximum number of *concurrently live*
-intervals rather than mutual exclusion.
+intervals rather than mutual exclusion.  It has two implementations
+of the same semantics: :class:`CapacityTimeline` (heap-backed, so
+``purge``/``latest_end``/``full`` stop rescanning every live entry)
+for the default engine, and :class:`ReferenceCapacityTimeline` (the
+rescanning closed form) for the ``"reference"`` engine.  Each engine's
+machine class names its implementation;
+:data:`repro.arch.simulator.ENGINES` is the only code that maps a
+profile name to classes.
 
-Engine *profiles* select between two implementations of the same
-semantics:
-
-* ``"optimized"`` (default) — sorted-ends occupancy tracking for
-  capacity timelines (``purge``/``latest_end``/``full`` stop rescanning
-  every live entry), memoized route/latency tables, and the fused hot
-  paths of the access, candidate and NoC-travel layers;
-* ``"reference"`` — the closed-form per-access computations the
-  optimized structures memoize.  Kept so the differential-equivalence
-  harness (``tests/test_differential.py``) can assert, cycle for cycle,
-  that no optimization ever changes a :class:`SimulationResult`.
-
-Profiles are *performance knobs*: they must never fork experiment
-cache keys (pinned by a test in ``tests/test_differential.py``).
+Engine *profiles* are *performance knobs*: they must never fork
+experiment cache keys (pinned by a test in
+``tests/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -203,13 +199,6 @@ class ResourceTimeline:
         """(reservations, busy cycles, contention-stall cycles)."""
         return self.reservations, self.busy_cycles, self.stall_cycles
 
-    def reset(self) -> None:
-        self._starts.clear()
-        self._ends.clear()
-        self.busy_cycles = 0
-        self.stall_cycles = 0
-        self.reservations = 0
-
 
 class CapacityTimeline:
     """Interval schedule of a ``capacity``-slot table.
@@ -321,13 +310,6 @@ class CapacityTimeline:
         heapq.heappush(self._min_ends, (end, entry_id))
         heapq.heappush(self._max_ends, (-end, entry_id))
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._min_ends.clear()
-        self._max_ends.clear()
-        self.admissions = 0
-        self.rejections = 0
-
 
 class ReferenceCapacityTimeline:
     """The pre-optimization :class:`CapacityTimeline` semantics.
@@ -395,19 +377,3 @@ class ReferenceCapacityTimeline:
             self.late_updates += 1
             return
         self._entries[entry_id] = (cur[0], end)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.admissions = 0
-        self.rejections = 0
-
-
-def capacity_timeline(capacity: int, name: str = "", profile: str = OPTIMIZED):
-    """Build the capacity-timeline implementation for an engine profile."""
-    if profile not in ENGINE_PROFILES:
-        raise ValueError(f"unknown engine profile {profile!r}")
-    cls = (
-        ReferenceCapacityTimeline if profile == REFERENCE
-        else CapacityTimeline
-    )
-    return cls(capacity, name)

@@ -9,9 +9,13 @@ candidate-construction, and NDC-execution layers (:mod:`~repro.arch
 all operate on one shared instance; the
 :class:`~repro.arch.simulator.SystemSimulator` orchestrates them.
 
-:class:`MachineState` is the ``reference`` engine's implementation;
-:class:`FusedMachineState` is the default ``optimized`` engine's, with
-the NoC travel loop fused and derived address facts memoized.
+:class:`MachineState` is the ``reference`` engine's implementation:
+closed-form XY routes on every transfer and the rescanning
+:class:`~repro.arch.engine.ReferenceCapacityTimeline` behind the NDC
+tables.  :class:`FusedMachineState` is the default ``optimized``
+engine's: it owns the memoized route table, the heap-backed
+:class:`~repro.arch.engine.CapacityTimeline` tables, the fused NoC
+travel loop and the memoized address facts.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.arch.cache import SetAssociativeCache
 from repro.arch.engine import (
-    ENGINE_PROFILES,
-    OPTIMIZED,
-    REFERENCE,
+    CapacityTimeline,
+    ReferenceCapacityTimeline,
     ResourceTimeline,
 )
 from repro.arch.events import EventBus, L2PortStall, LinkStall
@@ -56,28 +59,22 @@ class Journey:
 class MachineState:
     """All modeled hardware plus cross-layer bookkeeping."""
 
+    #: capacity-timeline class of the offload and service tables
+    table_timeline = ReferenceCapacityTimeline
+
     def __init__(
         self,
         cfg: ArchConfig,
         bus: Optional[EventBus] = None,
         collect_pc_stats: bool = False,
         collect_window_series: bool = False,
-        profile: str = OPTIMIZED,
     ):
-        if profile not in ENGINE_PROFILES:
-            raise ValueError(f"unknown engine profile {profile!r}")
         self.cfg = cfg
         self.bus = bus
-        self.profile = profile
         self.collect_pc_stats = collect_pc_stats
         self.collect_window_series = collect_window_series
         self.mesh: Mesh = mesh_for(cfg.noc.width, cfg.noc.height)
-        self.network = Network(self.mesh, cfg.noc, bus=bus, profile=profile)
-        #: all-pairs memoized XY routes (optimized profile; the
-        #: reference profile recomputes every route closed-form)
-        self._route_table = (
-            None if profile == REFERENCE else route_table_for(self.mesh)
-        )
+        self.network = Network(self.mesh, cfg.noc, bus=bus)
         self.l1 = [
             SetAssociativeCache(cfg.l1, f"L1[{n}]")
             for n in range(self.mesh.num_nodes)
@@ -97,7 +94,7 @@ class MachineState:
         ]
         self.ndc_units: Dict[tuple, NdcUnit] = {}
         self.offload_tables = [
-            OffloadTable(cfg.ndc.offload_table_entries, profile)
+            OffloadTable(cfg.ndc.offload_table_entries, self.table_timeline)
             for _ in range(self.mesh.num_nodes)
         ]
         self.journeys: Dict[int, Journey] = {}
@@ -114,18 +111,16 @@ class MachineState:
     # shared helpers
     # ------------------------------------------------------------------
     def route(self, src: int, dst: int) -> RouteSignature:
-        if self._route_table is not None:
-            return self._route_table.route(src, dst)
-        # Reference profile: the pre-optimization semantics — recompute
-        # the XY walk closed-form on every access (the differential
-        # harness pins both paths cycle-identical).
+        # The pre-optimization semantics: recompute the XY walk
+        # closed-form on every access (the differential harness pins
+        # the default engine's route table cycle-identical).
         return xy_route(self.mesh, src, dst)
 
     def unit(self, location: NdcLocation, key: tuple) -> NdcUnit:
         full_key = (location, key)
         u = self.ndc_units.get(full_key)
         if u is None:
-            u = NdcUnit(location, key, self.cfg.ndc, self.profile)
+            u = NdcUnit(location, key, self.cfg.ndc, self.table_timeline)
             self.ndc_units[full_key] = u
         return u
 
@@ -170,14 +165,6 @@ class MachineState:
             return start, ()
         # Estimates see current link occupancy too (commit=False runs
         # the reserve phase only), so scheme decisions price congestion.
-        table = self._route_table
-        if table is not None:
-            link_ids = table.link_ids(src, dst)
-            times = self.network.traverse(
-                table.route(src, dst), start, payload,
-                commit=commit, link_ids=link_ids,
-            ).node_times
-            return times[-1], tuple(zip(link_ids, times[1:]))
         route = xy_route(self.mesh, src, dst)
         times = self.network.traverse(
             route, start, payload, commit=commit
@@ -261,18 +248,24 @@ class MachineState:
 class FusedMachineState(MachineState):
     """Machine state of the ``optimized`` engine.
 
-    Derived address facts are memoized per simulation, and
-    :meth:`travel_time` runs the NoC hop walk in one fused loop over
-    the link timelines' own interval lists.  The overwhelmingly common
-    "no reservation ends after the wanted departure" case appends to a
-    list in O(1) instead of walking it.  Timing, counters and events
-    are identical to :meth:`MachineState.travel_time` (pinned by the
-    differential harness and a hypothesis property).
+    Routes come from the process-wide all-pairs
+    :class:`~repro.arch.routing.RouteTable`, the NDC tables from the
+    heap-backed :class:`~repro.arch.engine.CapacityTimeline`, derived
+    address facts are memoized per simulation, and :meth:`travel_time`
+    runs the NoC hop walk in one fused loop over the link timelines'
+    own interval lists.  The overwhelmingly common "no reservation ends
+    after the wanted departure" case appends to a list in O(1) instead
+    of walking it.  Timing, counters and events are identical to
+    :class:`MachineState`'s (pinned by the differential harness and a
+    hypothesis property).
     """
+
+    table_timeline = CapacityTimeline
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        table = self._route_table
+        #: all-pairs memoized XY routes
+        table = self._route_table = route_table_for(self.mesh)
         #: flat all-pairs link-id rows (src * num_nodes + dst)
         self._lids = table._link_ids
         self._nn = table.mesh.num_nodes
@@ -312,6 +305,30 @@ class FusedMachineState(MachineState):
         return info
 
     # ------------------------------------------------------------------
+    def route(self, src: int, dst: int) -> RouteSignature:
+        return self._route_table.route(src, dst)
+
+    def travel(
+        self,
+        src: int,
+        dst: int,
+        start: int,
+        payload: int,
+        commit: bool,
+        stamps: bool = True,
+    ) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+        if not stamps:
+            return self.travel_time(src, dst, start, payload, commit), ()
+        if src == dst:
+            return start, ()
+        table = self._route_table
+        link_ids = table.link_ids(src, dst)
+        times = self.network.traverse(
+            table.route(src, dst), start, payload,
+            commit=commit, link_ids=link_ids,
+        ).node_times
+        return times[-1], tuple(zip(link_ids, times[1:]))
+
     def travel_time(
         self, src: int, dst: int, start: int, payload: int, commit: bool
     ) -> int:

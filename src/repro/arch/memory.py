@@ -58,11 +58,6 @@ class DramBankState:
             return "miss"
         return "conflict"
 
-    def reset(self) -> None:
-        self.open_row = -1
-        self.queued = 0
-        self.timeline.reset()
-
 
 @dataclass
 class MemoryStats:
@@ -198,8 +193,3 @@ class MemoryController:
 
     def timelines(self) -> List[ResourceTimeline]:
         return [b.timeline for b in self.banks]
-
-    def reset(self) -> None:
-        for b in self.banks:
-            b.reset()
-        self.stats = MemoryStats()

@@ -12,18 +12,19 @@
   and is why wait-forever strategies collapse while bounded time-outs
   stay tolerable.
 
-Both tables are occupancy views over a
-:class:`~repro.arch.engine.CapacityTimeline`: each admitted package
-holds its slot from the first operand's arrival until it computes or
-times out; admission, capacity, and head-of-line clearance are all
-resolved against those reserved intervals.
+Both tables are occupancy views over a capacity timeline
+(:mod:`repro.arch.engine`): each admitted package holds its slot from
+the first operand's arrival until it computes or times out; admission,
+capacity, and head-of-line clearance are all resolved against those
+reserved intervals.  The timeline class is a constructor argument,
+which each engine's machine class supplies.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.arch.engine import OPTIMIZED, capacity_timeline
+from repro.arch.engine import ReferenceCapacityTimeline
 from repro.config import NdcConfig, NdcLocation, OpClass
 
 
@@ -46,11 +47,11 @@ class NdcUnitStats:
 class ServiceTable:
     """Bounded, in-order table of package occupancy intervals."""
 
-    def __init__(self, capacity: int, profile: str = OPTIMIZED):
+    def __init__(self, capacity: int, timeline: type = ReferenceCapacityTimeline):
         if capacity <= 0:
             raise ValueError("service table needs at least one entry")
         self.capacity = capacity
-        self._slots = capacity_timeline(capacity, "service", profile)
+        self._slots = timeline(capacity, "service")
 
     def purge(self, now: int) -> int:
         """Drop entries that have left the table by ``now``."""
@@ -77,12 +78,6 @@ class ServiceTable:
     def admit(self, package_id: int, arrive: int, leave: int) -> bool:
         return self._slots.admit(package_id, arrive, leave)
 
-    def update_leave(self, package_id: int, leave: int) -> None:
-        self._slots.update_end(package_id, leave)
-
-    def drain(self) -> None:
-        self._slots.clear()
-
 
 class OffloadTable:
     """Bounded table of in-flight offloads in a core's LD/ST unit.
@@ -92,11 +87,11 @@ class OffloadTable:
     or bounces.
     """
 
-    def __init__(self, capacity: int, profile: str = OPTIMIZED):
+    def __init__(self, capacity: int, timeline: type = ReferenceCapacityTimeline):
         if capacity <= 0:
             raise ValueError("offload table needs at least one entry")
         self.capacity = capacity
-        self._slots = capacity_timeline(capacity, "offload", profile)
+        self._slots = timeline(capacity, "offload")
 
     def purge(self, now: int) -> None:
         self._slots.purge(now)
@@ -106,9 +101,6 @@ class OffloadTable:
 
     def __len__(self) -> int:
         return self._slots.occupancy
-
-    def drain(self) -> None:
-        self._slots.clear()
 
 
 class NdcUnit:
@@ -123,12 +115,12 @@ class NdcUnit:
         location: NdcLocation,
         station_key: Tuple,
         cfg: NdcConfig,
-        profile: str = OPTIMIZED,
+        timeline: type = ReferenceCapacityTimeline,
     ):
         self.location = location
         self.station_key = station_key
         self.cfg = cfg
-        self.table = ServiceTable(cfg.service_table_entries, profile)
+        self.table = ServiceTable(cfg.service_table_entries, timeline)
         #: hardware time-out register (0 = disabled); per-package limits
         #: from the pre-compute instruction / scheme are applied on top.
         self.timeout = cfg.timeout_cycles
@@ -191,8 +183,3 @@ class NdcUnit:
         """(admissions, completed, rejections) for the stats summary."""
         slots = self.table._slots
         return slots.admissions, self.stats.completed, slots.rejections
-
-    def reset(self) -> None:
-        self.table.drain()
-        self.stats = NdcUnitStats()
-        self._next_id = 0

@@ -23,14 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.arch.engine import (
-    ENGINE_PROFILES,
-    OPTIMIZED,
-    REFERENCE,
-    ResourceTimeline,
-)
+from repro.arch.engine import ResourceTimeline
 from repro.arch.events import EventBus, LinkStall
-from repro.arch.routing import RouteSignature, serialization_table
+from repro.arch.routing import RouteSignature
 from repro.arch.topology import Mesh
 from repro.config import NocConfig
 
@@ -70,15 +65,11 @@ class Network:
         mesh: Mesh,
         cfg: NocConfig,
         bus: Optional[EventBus] = None,
-        profile: str = OPTIMIZED,
     ):
         if mesh.width != cfg.width or mesh.height != cfg.height:
             raise ValueError("mesh geometry disagrees with NocConfig")
-        if profile not in ENGINE_PROFILES:
-            raise ValueError(f"unknown engine profile {profile!r}")
         self.mesh = mesh
         self.cfg = cfg
-        self.profile = profile
         self.bus = bus
         self._links: List[ResourceTimeline] = [
             ResourceTimeline(f"link:{i}") for i in range(mesh.num_links)
@@ -92,8 +83,6 @@ class Network:
     # ------------------------------------------------------------------
     def serialization_cycles(self, payload_bytes: int) -> int:
         """Cycles to push ``payload_bytes`` through one link."""
-        if self.profile != REFERENCE:
-            return serialization_table(payload_bytes, self.cfg.link_bytes)
         flits = max(1, -(-payload_bytes // self.cfg.link_bytes))
         return flits
 
@@ -113,7 +102,7 @@ class Network:
         ``commit=False`` the same contention-aware timing is computed
         through the reserve phase only (a what-if estimate — no link is
         actually claimed).  ``link_ids`` optionally supplies the route's
-        memoized link ids (the optimized profile's
+        memoized link ids (the default engine's
         :class:`~repro.arch.routing.RouteTable`), skipping the per-hop
         adjacency lookups.
         """
@@ -165,8 +154,3 @@ class Network:
 
     def timelines(self) -> List[ResourceTimeline]:
         return self._links
-
-    def reset(self) -> None:
-        for tl in self._links:
-            tl.reset()
-        self.stats = NocStats()

@@ -91,11 +91,11 @@ def yx_route(mesh: Mesh, src: int, dst: int) -> RouteSignature:
 class RouteTable:
     """Memoized all-pairs XY routes, link ids, and hop counts for a mesh.
 
-    Built once per topology (at machine construction under the
-    ``"optimized"`` engine profile) so the per-access hot path replaces
-    coordinate walks and per-hop ``mesh.link`` dictionary lookups with
-    two tuple indexings.  The tables are *pure memoization* of
-    :func:`xy_route`: a hypothesis property in
+    Built once per topology (by the default engine's
+    :class:`~repro.arch.machine.FusedMachineState`) so the per-access
+    hot path replaces coordinate walks and per-hop ``mesh.link``
+    dictionary lookups with two tuple indexings.  The tables are *pure
+    memoization* of :func:`xy_route`: a hypothesis property in
     ``tests/test_differential.py`` pins that every entry equals the
     closed-form computation.
 
@@ -149,18 +149,6 @@ def route_table_for(mesh: Mesh) -> RouteTable:
     memoization cost is paid once per process, not once per simulation.
     """
     return RouteTable(mesh)
-
-
-#: the serialization-latency memo is tiny (a handful of payload sizes
-#: ever occur); shared per (payload, link width) process-wide.
-@lru_cache(maxsize=64)
-def serialization_table(payload_bytes: int, link_bytes: int) -> int:
-    """Cycles to push ``payload_bytes`` through one ``link_bytes`` link.
-
-    Memoized closed form of ``Network.serialization_cycles``; pinned
-    equal to the formula by a property test.
-    """
-    return max(1, -(-payload_bytes // link_bytes))
 
 
 def all_minimal_routes(

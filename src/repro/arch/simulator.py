@@ -52,11 +52,15 @@ runs construct no event objects at all.
 Engines
 -------
 Two engine profiles compose the same layers from different classes
-(:data:`ENGINES`).  ``"optimized"``, the default, runs the ``Fused*``
-subclass of each layer and this class's own :meth:`SystemSimulator.run`
-and ``_exec_compute``.  ``"reference"`` runs the base classes and the
+(:data:`ENGINES`, the only code that maps a profile name to classes).
+``"optimized"``, the default, runs the ``Fused*`` subclass of each
+layer and this class's own :meth:`SystemSimulator.run` and
+``_exec_compute``.  ``"reference"`` runs the base classes and the
 frozen replay loop: the oracle the differential harness
 (``tests/test_differential.py``) holds the default to, cycle for cycle.
+No layer constructor takes a profile; each ``Fused*`` class owns the
+structures of the default engine (route table, heap-backed NDC
+tables, memoized address facts).
 """
 
 from __future__ import annotations
@@ -158,7 +162,6 @@ class SystemSimulator:
             bus=event_bus,
             collect_pc_stats=collect_pc_stats,
             collect_window_series=collect_window_series,
-            profile=engine_profile,
         )
         self.access_path = access_cls(self.machine)
         self.candidate_builder = candidates_cls(self.machine)

@@ -4,16 +4,17 @@ Three tiers, cheapest first:
 
 * **engine-only** — synthetic op streams against the raw timeline
   structures (:class:`~repro.arch.engine.ResourceTimeline`, the
-  optimized vs reference :class:`~repro.arch.engine.CapacityTimeline`),
-  isolating the data-structure work from the simulator around it;
+  :class:`~repro.arch.engine.CapacityTimeline` vs its reference
+  :class:`~repro.arch.engine.ReferenceCapacityTimeline`), isolating
+  the data-structure work from the simulator around it;
 * **single-sim** — one full simulation (``fft`` under the paper's
   Algorithm 2 at scale 0.1) per engine profile; the ``speedup`` ratio
   on this tier is a regression-gate metric;
 * **lineup** — the whole Fig. 4 scheme lineup on one benchmark through
-  the *executor path* (what a sweep chunk actually costs): the chunk
-  executor (:mod:`repro.runtime.batch`) from cold trace caches, trace
-  generation included, once per profile.  Its ``speedup`` ratio is the
-  second gate metric.
+  the *executor path* (what a sweep chunk actually costs):
+  :func:`~repro.runtime.parallel.execute_job` per key from cold trace
+  caches, trace generation included, once per profile.  Its
+  ``speedup`` ratio is the second gate metric.
 
 All measurements are best-of-``repeats`` wall-clock
 (``time.perf_counter``) with the cycle collector parked outside the
@@ -37,8 +38,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 BASELINE_FILENAME = "BENCH_engine.json"
 #: v3: two engine profiles; both whole-sim tiers carry ``optimized_*``,
 #: ``reference_*`` and ``speedup``, and the lineup tier runs both
-#: profiles through the chunk executor.  Older baselines gate only on
-#: the metrics they carry.
+#: profiles through the executor path (``execute_job`` per key).  Older
+#: baselines gate only on the metrics they carry.
 SCHEMA = 3
 
 #: the regression-gate metrics inside the report (section, metric);
@@ -121,9 +122,7 @@ def _resource_timeline_ops(ops: int) -> Callable[[], None]:
     return run
 
 
-def _capacity_timeline_ops(ops: int, profile: str) -> Callable[[], None]:
-    from repro.arch.engine import capacity_timeline
-
+def _capacity_timeline_ops(ops: int, timeline: type) -> Callable[[], None]:
     rng = random.Random(99)
     stream: List[Tuple[int, int, int]] = []
     now = 0
@@ -132,7 +131,7 @@ def _capacity_timeline_ops(ops: int, profile: str) -> Callable[[], None]:
         stream.append((i, now, now + rng.randrange(1, 200)))
 
     def run() -> None:
-        tl = capacity_timeline(16, "bench", profile)
+        tl = timeline(16, "bench")
         for key, arrive, leave in stream:
             tl.purge(arrive)
             tl.latest_end(arrive)
@@ -143,11 +142,13 @@ def _capacity_timeline_ops(ops: int, profile: str) -> Callable[[], None]:
 
 
 def _engine_tier(ops: int, repeats: int) -> Dict[str, float]:
-    from repro.arch.engine import OPTIMIZED, REFERENCE
+    from repro.arch.engine import CapacityTimeline, ReferenceCapacityTimeline
 
     res = _best_of(_resource_timeline_ops(ops), repeats)
-    cap_opt = _best_of(_capacity_timeline_ops(ops, OPTIMIZED), repeats)
-    cap_ref = _best_of(_capacity_timeline_ops(ops, REFERENCE), repeats)
+    cap_opt = _best_of(_capacity_timeline_ops(ops, CapacityTimeline), repeats)
+    cap_ref = _best_of(
+        _capacity_timeline_ops(ops, ReferenceCapacityTimeline), repeats
+    )
     return {
         "ops": ops,
         "resource_timeline_s": round(res, 6),
@@ -197,17 +198,18 @@ def _lineup_tier(
 ) -> Dict[str, object]:
     """Executor-path lineup throughput per profile.
 
-    Both profiles run the chunk executor over the same keys, from cold
-    trace caches each repeat — exactly what a pool worker handed one
-    trace-grouped lineup chunk pays: one trace generation per variant,
-    then every scheme's simulation.  The results are pinned identical,
-    so the ratio measures the two engines on the full executor path.
+    Both profiles run :func:`~repro.runtime.parallel.execute_job` over
+    the same keys, from cold trace caches each repeat — exactly what a
+    pool worker handed one trace-grouped lineup chunk pays: one trace
+    generation per variant, then every scheme's simulation.  The
+    results are pinned identical, so the ratio measures the two engines
+    on the full executor path.
     """
     from repro import schemes as S
     from repro.arch.engine import OPTIMIZED, REFERENCE
     from repro.config import DEFAULT_CONFIG
-    from repro.runtime import batch as batch_mod
     from repro.runtime.keys import config_digest, job_key
+    from repro.runtime.parallel import execute_job
     from repro.workloads import tracegen
 
     cfg = DEFAULT_CONFIG
@@ -221,10 +223,8 @@ def _lineup_tier(
     def chunk(profile: str) -> Callable[[], None]:
         def go() -> None:
             tracegen.clear_cache()
-            for _ in batch_mod.execute_batch(
-                cfg, keys, engine_profile=profile
-            ):
-                pass
+            for key in keys:
+                execute_job(cfg, key, engine_profile=profile)
 
         return go
 

@@ -329,13 +329,12 @@ class Algorithm1:
         assert stmt.compute is not None
         cfg = self.cfg
         from repro.arch.routing import xy_route
-        from repro.core.routing_opt import RouteSelector
+        from repro.core.routing_opt import plan_pair
 
         out = {loc: 0.0 for loc in NdcLocation}
         pts = list(nest.iter_space())
         if not pts:
             return out
-        selector = RouteSelector(cfg, self.mesh)
         core = self.mesh.num_nodes // 2
         step = max(1, len(pts) // self.samples)
         samples = home_same = mc_same = bank_same = net_ok = 0
@@ -362,7 +361,7 @@ class Algorithm1:
             if sx == sy or sx == core or sy == core:
                 continue
             if self.enable_route_reselection:
-                common = selector.plan(core, sx, sy).common_links
+                common = plan_pair(self.mesh, core, sx, sy).common_links
             else:
                 common = xy_route(self.mesh, sx, core).common_links(
                     xy_route(self.mesh, sy, core)

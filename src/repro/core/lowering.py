@@ -40,7 +40,7 @@ from repro.arch.topology import mesh_for
 from repro.config import ArchConfig, NdcComponentMask
 from repro.core.algorithm1 import OffloadPlan
 from repro.core.ir import LoopNest, Program, Statement
-from repro.core.routing_opt import RouteSelector
+from repro.core.routing_opt import plan_pair
 from repro.isa import OpKind, RouteHint, Trace, TraceOp, make_trace
 
 #: sub-pc encoding: pc = sid * _PC_STRIDE + ref slot
@@ -78,11 +78,9 @@ def lower_program(
     if n_cores > mesh.num_nodes:
         raise ValueError("more cores requested than mesh nodes")
     plans = plans or {}
-    needs_routes = any(p.use_route_hints for p in plans.values())
-    selector = RouteSelector(cfg, mesh) if needs_routes else None
     streams: List[list] = [[] for _ in range(n_cores)]
     for nest in program.nests:
-        _lower_nest(cfg, nest, plans, selector, streams)
+        _lower_nest(cfg, nest, plans, streams)
     line = cfg.l1.line_bytes
     return make_trace(_with_reuse_flags(s, line) for s in streams)
 
@@ -91,7 +89,6 @@ def _lower_nest(
     cfg: ArchConfig,
     nest: LoopNest,
     plans: Dict[int, OffloadPlan],
-    selector: Optional[RouteSelector],
     streams: List[list],
 ) -> None:
     """Append one nest's ops to every core's stream (block-partitioned)."""
@@ -106,7 +103,7 @@ def _lower_nest(
     shifts = dict(nest.stmt_shifts)
     columns = [
         _statement_ops(cfg, nest, st, pts, owner, shifts.get(st.sid),
-                       plans.get(st.sid), selector)
+                       plans.get(st.sid))
         for st in nest.body
     ]
     rows = list(zip(*columns))  # per point: each statement's op tuple
@@ -125,7 +122,6 @@ def _statement_ops(
     owner: np.ndarray,
     delta: Optional[Tuple[int, ...]],
     plan: Optional[OffloadPlan],
-    selector: Optional[RouteSelector],
 ) -> list:
     """One statement's ops at every point, as one tuple per point (empty
     where a shifted instance falls outside the space)."""
@@ -149,7 +145,7 @@ def _statement_ops(
         pc = pc_of(st.sid, k)
         cols.append([TraceOp(OpKind.LOAD, pc, a) for a in r.addresses(pts)])
     if st.compute is not None:
-        cols.append(_compute_records(cfg, st, pts, owner, plan, selector))
+        cols.append(_compute_records(cfg, st, pts, owner, plan))
     for k, w in enumerate(st.writes):
         pc = pc_of(st.sid, 8 + k)
         cols.append([TraceOp(OpKind.STORE, pc, a) for a in w.addresses(pts)])
@@ -168,7 +164,6 @@ def _compute_records(
     pts: np.ndarray,
     owner: np.ndarray,
     plan: Optional[OffloadPlan],
-    selector: Optional[RouteSelector],
 ) -> List[tuple]:
     """The statement's compute at every point, as ``TraceOp`` argument
     tuples short of the reuse flags (see :func:`_with_reuse_flags`)."""
@@ -186,7 +181,7 @@ def _compute_records(
             OpKind.PRE_COMPUTE, False, plan.mask, plan.timeout
         )
         hints = (
-            _route_hints(cfg, selector, owner, ax, ay)
+            _route_hints(cfg, owner, ax, ay)
             if plan.use_route_hints else repeat(None)
         )
     return [
@@ -197,7 +192,6 @@ def _compute_records(
 
 def _route_hints(
     cfg: ArchConfig,
-    selector: RouteSelector,
     owner: np.ndarray,
     ax: List[int],
     ay: List[int],
@@ -205,13 +199,14 @@ def _route_hints(
     """Per-instance route hints for the instance's actual operand homes
     (none when a home is the issuing core or the routes share no link)."""
     home = cfg.l2_home_node
+    mesh = mesh_for(cfg.noc.width, cfg.noc.height)
     hints: List[Optional[RouteHint]] = []
     for core, x, y in zip(owner.tolist(), ax, ay):
         hx, hy = home(x), home(y)
         if hx == core or hy == core:
             hints.append(None)
             continue
-        plan = selector.plan(core, hx, hy)
+        plan = plan_pair(mesh, core, hx, hy)
         hints.append(plan.hint if plan.common_links else None)
     return hints
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.arch.routing import best_overlapping_routes, xy_route
 from repro.arch.topology import Mesh
@@ -44,33 +45,22 @@ class RoutePlan:
         return self.common_links - self.baseline_common
 
 
+@lru_cache(maxsize=4096)
 def plan_pair(
     mesh: Mesh, core: int, home_x: int, home_y: int, limit: int = 32
 ) -> RoutePlan:
-    """Best-overlap minimal routes for one operand-home pair."""
+    """Best-overlap minimal routes for one operand-home pair.
+
+    Pure in its arguments, so one process-wide memo serves every
+    compiler pass and every trace (the plan is frozen, so sharing it is
+    safe).
+    """
     rx, ry, common = best_overlapping_routes(
         mesh, home_x, core, home_y, core, limit=limit
     )
     base = xy_route(mesh, home_x, core).common_links(xy_route(mesh, home_y, core))
     hint = RouteHint(rx.nodes, ry.nodes, common)
     return RoutePlan(core, home_x, home_y, hint, common, base)
-
-
-class RouteSelector:
-    """Caching route planner shared by the compiler passes."""
-
-    def __init__(self, cfg: ArchConfig, mesh: Mesh):
-        self.cfg = cfg
-        self.mesh = mesh
-        self._cache: Dict[Tuple[int, int, int], RoutePlan] = {}
-
-    def plan(self, core: int, home_x: int, home_y: int) -> RoutePlan:
-        key = (core, home_x, home_y)
-        plan = self._cache.get(key)
-        if plan is None:
-            plan = plan_pair(self.mesh, core, home_x, home_y)
-            self._cache[key] = plan
-        return plan
 
 
 def sample_homes(
@@ -116,7 +106,6 @@ def select_route_hint(
     pairs = sample_homes(cfg, nest, stmt.compute.x, stmt.compute.y, samples)
     if not pairs:
         return None, 0.0
-    selector = RouteSelector(cfg, mesh)
     overlapping = 0
     for hx, hy in pairs:
         if hx == core or hy == core:
@@ -124,14 +113,14 @@ def select_route_hint(
         # A single shared link is almost always the final approach into
         # the core, where computing saves nothing; count a sample as
         # network-viable only when the routes can share >= 2 links.
-        if selector.plan(core, hx, hy).common_links >= 2:
+        if plan_pair(mesh, core, hx, hy).common_links >= 2:
             overlapping += 1
     frac = overlapping / len(pairs)
     dominant, _ = Counter(pairs).most_common(1)[0]
     hx, hy = dominant
     if hx == core or hy == core:
         return None, frac
-    plan = selector.plan(core, hx, hy)
+    plan = plan_pair(mesh, core, hx, hy)
     if plan.common_links == 0:
         return None, frac
     return plan.hint, frac

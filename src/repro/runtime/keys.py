@@ -193,3 +193,10 @@ def job_key(
         tunables=None if variant == "original" else tunables,
         **flags,
     )
+
+
+def trace_signature(cfg: ArchConfig, key: JobKey) -> tuple:
+    """The part of a job's identity that determines its trace (the
+    process pool ships jobs sharing one as one chunk)."""
+    return (key.bench, key.variant, key.scale, cfg, key.tunables,
+            key.trace_opts)

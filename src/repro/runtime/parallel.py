@@ -48,7 +48,7 @@ from repro.arch.simulator import SimulationResult, SystemSimulator
 from repro.config import ArchConfig
 from repro.runtime.backoff import backoff_delay
 from repro.runtime.cache import NullCache, ResultCache
-from repro.runtime.keys import JobKey
+from repro.runtime.keys import JobKey, trace_signature
 from repro.schemes import scheme_from_spec
 from repro.workloads.tracegen import compiled_trace
 
@@ -213,9 +213,9 @@ def execute_job(
     )
     if scheme is not None:
         # Pre-run hook (profile-guided schemes run their warm-up here).
-        # Sitting on this seam covers every execution path — serial,
-        # pool worker, and batch — so preparation can never fork
-        # serial/parallel/batch determinism.
+        # Sitting on this seam covers every execution path — serial
+        # and pool worker — so preparation can never fork
+        # serial/parallel determinism.
         scheme.prepare(cfg, trace)
     sim = SystemSimulator(
         cfg,
@@ -245,13 +245,17 @@ def _exit_with_parent() -> None:
 
 
 def _pool_worker(
-    payload: Tuple[ArchConfig, JobKey, str],
-) -> Tuple[SimulationResult, float]:
-    """Top-level (picklable) worker entry; returns (result, wall seconds)."""
-    cfg, key, engine_profile = payload
-    t0 = time.perf_counter()
-    result = execute_job(cfg, key, engine_profile=engine_profile)
-    return result, time.perf_counter() - t0
+    payload: Tuple[ArchConfig, Sequence[JobKey], str],
+) -> List[Tuple[JobKey, SimulationResult, float]]:
+    """Top-level (picklable) pool entry: execute one chunk of keys in
+    order; returns ``(key, result, wall seconds)`` per key."""
+    cfg, keys, engine_profile = payload
+    out = []
+    for key in keys:
+        t0 = time.perf_counter()
+        result = execute_job(cfg, key, engine_profile=engine_profile)
+        out.append((key, result, time.perf_counter() - t0))
+    return out
 
 
 # ======================================================================
@@ -387,17 +391,6 @@ class ParallelRunner:
         return out
 
     # ------------------------------------------------------------------
-    def _submit(self, pool: ProcessPoolExecutor, chunk: List[JobKey]):
-        """Ship one chunk; a singleton rides the per-job worker."""
-        from repro.runtime import batch as batch_mod
-
-        profile = self.options.engine_profile
-        if len(chunk) > 1:
-            return pool.submit(
-                batch_mod._pool_batch_worker, (self.cfg, chunk, profile)
-            )
-        return pool.submit(_pool_worker, (self.cfg, chunk[0], profile))
-
     def _run_pool(self, misses: List[JobKey], out: Dict) -> None:
         """Execute ``misses`` over a process pool into ``out``.
 
@@ -409,15 +402,11 @@ class ParallelRunner:
         to ``retries`` times, after which whatever is left runs
         in-process.  Every step down records its cause.
         """
-        from repro.runtime import batch as batch_mod
-
         opts = self.options
         done = 0
         groups: Dict[tuple, List[JobKey]] = {}
         for k in misses:
-            groups.setdefault(
-                batch_mod.trace_signature(self.cfg, k), []
-            ).append(k)
+            groups.setdefault(trace_signature(self.cfg, k), []).append(k)
         ordered = [k for g in groups.values() for k in g]
         size = -(-len(ordered) // opts.effective_jobs)
         chunks = [ordered[i:i + size] for i in range(0, len(ordered), size)]
@@ -430,7 +419,11 @@ class ParallelRunner:
                 with ProcessPoolExecutor(
                     max_workers=workers, initializer=_exit_with_parent,
                 ) as pool:
-                    futures = [(c, self._submit(pool, c)) for c in chunks]
+                    profile = opts.engine_profile
+                    futures = [
+                        (c, pool.submit(_pool_worker, (self.cfg, c, profile)))
+                        for c in chunks
+                    ]
                     for chunk, fut in futures:
                         timeout = (
                             None if opts.timeout is None
@@ -455,8 +448,6 @@ class ParallelRunner:
                             else:
                                 in_process.extend(chunk)
                             continue
-                        if len(chunk) == 1:
-                            items = [(chunk[0], *items)]
                         for key, result, dt in items:
                             done += 1
                             self.stats.executed_pool += 1

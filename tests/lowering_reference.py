@@ -15,12 +15,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.topology import mesh_for
+from repro.arch.topology import Mesh, mesh_for
 from repro.config import ArchConfig
 from repro.core.algorithm1 import OffloadPlan
 from repro.core.ir import LoopNest, Program, Statement
 from repro.core.lowering import _partition, pc_of
-from repro.core.routing_opt import RouteSelector
+from repro.core.routing_opt import plan_pair
 from repro.isa import OpKind, RouteHint, Trace, TraceOp, make_trace
 
 
@@ -45,12 +45,12 @@ class _Emitter:
         cfg: ArchConfig,
         core: int,
         plans: Dict[int, OffloadPlan],
-        route_selector: Optional[RouteSelector],
+        route_mesh: Optional[Mesh],
     ):
         self.cfg = cfg
         self.core = core
         self.plans = plans
-        self.routes = route_selector
+        self.routes = route_mesh
         self.ops: List[TraceOp] = []
 
     def emit_statement(self, st: Statement, iteration: Tuple[int, ...]) -> None:
@@ -107,7 +107,7 @@ class _Emitter:
         hy = self.cfg.l2_home_node(ay)
         if hx == self.core or hy == self.core:
             return None
-        plan = self.routes.plan(self.core, hx, hy)
+        plan = plan_pair(self.routes, self.core, hx, hy)
         if plan.common_links == 0:
             return None
         return plan.hint
@@ -159,8 +159,8 @@ def reference_lower_program(
         raise ValueError("more cores requested than mesh nodes")
     plans = plans or {}
     needs_routes = any(p.use_route_hints for p in plans.values())
-    selector = RouteSelector(cfg, mesh) if needs_routes else None
-    emitters = [_Emitter(cfg, c, plans, selector) for c in range(n_cores)]
+    route_mesh = mesh if needs_routes else None
+    emitters = [_Emitter(cfg, c, plans, route_mesh) for c in range(n_cores)]
     for nest in program.nests:
         lower_nest(cfg, nest, n_cores, plans, emitters)
     streams = [annotate_reuse(cfg, em.ops) for em in emitters]

@@ -1,11 +1,11 @@
-"""The chunk executor (:mod:`repro.runtime.batch`).
+"""The pool's one chunk entry (:func:`repro.runtime.parallel._pool_worker`).
 
-The pool ships multi-job chunks through it, and ``repro bench``'s
-lineup tier times it; it must be observationally identical to per-job
-execution.  Two contracts are pinned here:
+The pool ships every chunk, singleton or not, through it; it must be
+observationally identical to per-job execution.  Two contracts are
+pinned here:
 
-1. **result identity** — ``execute_batch`` over a lineup chunk yields
-   exactly what per-unit ``execute_job`` computes for each key;
+1. **result identity** — the entry over a lineup chunk returns exactly
+   what per-unit ``execute_job`` computes for each key, in key order;
 2. **amortization is real** — jobs sharing a trace signature share the
    trace *object* (generated once per chunk, through tracegen's cache).
 
@@ -17,10 +17,11 @@ drains in ``tests/test_campaign_remote.py::TestDrainIdentity``.
 import pytest
 
 from repro import schemes as S
+from repro.arch.engine import OPTIMIZED
 from repro.config import DEFAULT_CONFIG
 from repro.runtime import JobKey, config_digest
-from repro.runtime import batch as batch_mod
-from repro.runtime.parallel import execute_job
+from repro.runtime.keys import trace_signature
+from repro.runtime.parallel import _pool_worker, execute_job
 from repro.workloads import tracegen
 
 SCALE = 0.08
@@ -50,16 +51,14 @@ def _fresh_trace_cache():
 class TestExecuteBatch:
     def test_results_identical_to_per_unit(self):
         keys = lineup_keys()
-        batched = {
-            key: result
-            for key, result, _dt in batch_mod.execute_batch(
-                DEFAULT_CONFIG, keys
-            )
-        }
-        assert list(batched) == keys, "batch must preserve key order"
-        for key in keys:
-            assert batched[key] == execute_job(DEFAULT_CONFIG, key), (
-                f"batch result differs from per-unit for {key.label}"
+        items = _pool_worker((DEFAULT_CONFIG, keys, OPTIMIZED))
+        assert [key for key, _, _ in items] == keys, (
+            "the chunk entry must preserve key order"
+        )
+        for key, result, dt in items:
+            assert dt >= 0
+            assert result == execute_job(DEFAULT_CONFIG, key), (
+                f"chunk result differs from per-unit for {key.label}"
             )
 
     def test_trace_shared_by_signature(self):
@@ -79,16 +78,7 @@ class TestExecuteBatch:
     def test_signature_separates_variants(self):
         keys = lineup_keys()
         variants = {k.variant for k in keys}
-        sigs = {batch_mod.trace_signature(DEFAULT_CONFIG, k)
-                for k in keys}
+        sigs = {trace_signature(DEFAULT_CONFIG, k) for k in keys}
         assert len(sigs) == len(variants), (
             "one trace signature per compilation variant"
         )
-
-    def test_lazy_yielding(self):
-        """The generator does no work before iteration."""
-        it = batch_mod.execute_batch(DEFAULT_CONFIG, lineup_keys())
-        assert len(tracegen._cache) == 0
-        next(it)
-        assert len(tracegen._cache) == 1
-        it.close()

@@ -44,13 +44,6 @@ class TestBasics:
         assert c.hits == 2 and c.misses == 2
         assert c.miss_rate == pytest.approx(0.5)
 
-    def test_reset_stats_keeps_contents(self):
-        c = tiny_cache()
-        c.access(0)
-        c.reset_stats()
-        assert c.misses == 0
-        assert c.access(0).hit
-
 
 class TestLru:
     def test_eviction_order_is_lru(self):
@@ -101,13 +94,6 @@ class TestInvalidate:
     def test_invalidate_absent(self):
         c = tiny_cache()
         assert not c.invalidate(0x1000)
-
-    def test_flush(self):
-        c = tiny_cache()
-        for a in range(0, 512, 64):
-            c.access(a)
-        c.flush()
-        assert c.occupancy == 0
 
 
 class TestSetMapping:

@@ -15,13 +15,7 @@ had already been purged; it is now a counted no-op.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.engine import (
-    OPTIMIZED,
-    REFERENCE,
-    CapacityTimeline,
-    ReferenceCapacityTimeline,
-    capacity_timeline,
-)
+from repro.arch.engine import CapacityTimeline, ReferenceCapacityTimeline
 
 # One program step: (op, args...) over a bounded id space so re-use of
 # purged ids (the service tables' actual behaviour) is exercised.
@@ -99,9 +93,12 @@ def test_occupancy_invariants(capacity, steps):
 class TestUpdateEndAfterPurge:
     """The previously crashing sequence, pinned as a counted no-op."""
 
-    @pytest.mark.parametrize("profile", [OPTIMIZED, REFERENCE])
-    def test_late_update_is_noop_with_counter(self, profile):
-        tl = capacity_timeline(2, "svc", profile)
+    @pytest.mark.parametrize(
+        "cls", [CapacityTimeline, ReferenceCapacityTimeline],
+        ids=["optimized", "reference"],   # the engines that run each
+    )
+    def test_late_update_is_noop_with_counter(self, cls):
+        tl = cls(2, "svc")
         assert tl.admit(1, 10, 20)
         assert tl.purge(25) == 1          # entry 1 has left
         tl.update_end(1, 30)              # used to raise KeyError
@@ -112,45 +109,12 @@ class TestUpdateEndAfterPurge:
         assert tl.admit(2, 26, 40)
         assert tl.latest_end(26) == 40
 
-    def test_late_update_through_service_table(self):
-        """The crash path as the NDC unit drives it (update_leave)."""
-        from repro.arch.ndc_units import ServiceTable
-
-        table = ServiceTable(2)
-        table.admit(0, 0, 5)
-        table.purge(10)
-        table.update_leave(0, 50)   # must not raise
-        assert table._slots.late_updates == 1
-        assert table.occupancy == 0
-
 
 class TestFactoryAndBasics:
-    def test_factory_dispatch(self):
-        assert isinstance(
-            capacity_timeline(1, profile=OPTIMIZED), CapacityTimeline
-        )
-        assert isinstance(
-            capacity_timeline(1, profile=REFERENCE),
-            ReferenceCapacityTimeline,
-        )
-        with pytest.raises(ValueError, match="engine profile"):
-            capacity_timeline(1, profile="warp")
-
     @pytest.mark.parametrize("cls", [CapacityTimeline, ReferenceCapacityTimeline])
     def test_positive_capacity_required(self, cls):
         with pytest.raises(ValueError):
             cls(0)
-
-    @pytest.mark.parametrize("cls", [CapacityTimeline, ReferenceCapacityTimeline])
-    def test_clear_resets_slots(self, cls):
-        tl = cls(2)
-        tl.admit(0, 0, 10)
-        tl.admit(1, 0, 12)
-        assert not tl.admit(2, 5, 20)     # full -> rejection
-        tl.clear()
-        assert tl.occupancy == 0
-        assert tl.admissions == 0 and tl.rejections == 0
-        assert tl.admit(3, 0, 4)
 
     def test_id_reuse_after_purge(self):
         """Stale heap pairs from a purged id must not shadow a fresh

@@ -16,9 +16,8 @@ change a result.  This suite is that guarantee:
 * the golden headline geomeans are byte-identical under the reference
   profile (the regular golden test pins the optimized default);
 * hypothesis properties pin the memoized tables to their closed forms
-  (``RouteTable`` == ``xy_route``, ``serialization_table`` == the
-  ceil-division formula, ``addr_fact`` == the config's address maps)
-  and the fused ``travel_time`` to ``Network.traverse``;
+  (``RouteTable`` == ``xy_route``, ``addr_fact`` == the config's
+  address maps) and the fused ``travel_time`` to ``Network.traverse``;
 * with an :class:`~repro.arch.events.EventBus` attached, both profiles
   publish the **identical event stream** — the lazy fast path cannot
   silently drop events;
@@ -34,18 +33,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import schemes as S
-from repro.arch.engine import ENGINE_PROFILES, OPTIMIZED, REFERENCE
+from repro.arch.engine import (
+    ENGINE_PROFILES,
+    OPTIMIZED,
+    REFERENCE,
+    CapacityTimeline,
+    ReferenceCapacityTimeline,
+)
 from repro.arch.events import EventBus
 from repro.arch.noc import Network
-from repro.arch.routing import (
-    RouteTable,
-    route_table_for,
-    serialization_table,
-    xy_route,
-)
+from repro.arch.routing import RouteTable, route_table_for, xy_route
 from repro.arch.simulator import SystemSimulator
 from repro.arch.topology import mesh_for
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, NdcLocation
 from repro.workloads import benchmark_trace
 
 SCALE = 0.1
@@ -145,22 +145,35 @@ class TestLineupEquivalence:
 # two programs, one profile set
 # ======================================================================
 def test_profiles_run_different_code():
-    """Every hot entry point resolves to a different function under
-    each profile, so the equivalence tests compare two programs."""
+    """Every hot entry point, and every structure a profile used to
+    pick by name, differs between the profiles, so the equivalence
+    tests compare two programs."""
+    sims = {
+        p: SystemSimulator(DEFAULT_CONFIG, engine_profile=p)
+        for p in (OPTIMIZED, REFERENCE)
+    }
 
-    def entry_points(profile):
-        sim = SystemSimulator(DEFAULT_CONFIG, engine_profile=profile)
+    def entry_points(sim):
         return {
             "run": sim.run,
             "_exec_compute": sim._exec_compute,
             "access": sim.access_path.access,
             "build": sim.candidate_builder.build,
             "travel_time": sim.machine.travel_time,
+            "route": sim.machine.route,
+            "travel": sim.machine.travel,
         }
 
-    opt, ref = entry_points(OPTIMIZED), entry_points(REFERENCE)
+    opt, ref = entry_points(sims[OPTIMIZED]), entry_points(sims[REFERENCE])
     for name in opt:
         assert opt[name].__func__ is not ref[name].__func__, name
+    for profile, timeline in (
+        (OPTIMIZED, CapacityTimeline), (REFERENCE, ReferenceCapacityTimeline)
+    ):
+        m = sims[profile].machine
+        service = m.unit(NdcLocation.CACHE, ("l2", 0)).table
+        assert type(m.offload_tables[0]._slots) is timeline, profile
+        assert type(service._slots) is timeline, profile
 
 
 def test_retired_vectorized_profile_rejected(capsys):
@@ -274,17 +287,6 @@ def test_route_table_shared_per_mesh():
     a = route_table_for(mesh_for(4, 4))
     b = route_table_for(mesh_for(4, 4))
     assert a is b
-
-
-@given(
-    payload=st.integers(min_value=0, max_value=4096),
-    width=st.integers(min_value=1, max_value=64),
-)
-@settings(max_examples=200, deadline=None)
-def test_serialization_table_equals_formula(payload, width):
-    assert serialization_table(payload, width) == max(
-        1, -(-payload // width)
-    )
 
 
 def test_addr_fact_matches_config_closed_forms():

@@ -86,9 +86,6 @@ class TestResourceTimeline:
         tl.reserve(0, 10)
         tl.reserve(5, 10)               # stalls 5, runs [10, 20)
         assert tl.utilization() == (2, 20, 5)
-        tl.reset()
-        assert tl.utilization() == (0, 0, 0)
-        assert tl.free_at == 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

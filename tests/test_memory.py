@@ -91,12 +91,6 @@ class TestStats:
         assert mc.stats.requests == 4
         assert mc.stats.row_hit_rate == pytest.approx(3 / 4)
 
-    def test_reset(self, cfg, mc):
-        mc.access(addr_for(cfg), 0)
-        mc.reset()
-        assert mc.stats.requests == 0
-        assert all(b.open_row == -1 and b.ready_at == 0 for b in mc.banks)
-
     def test_service_time_table(self, cfg, mc):
         d = cfg.memory.dram
         assert mc.service_time("hit") == d.t_row_hit

@@ -95,12 +95,6 @@ class TestNdcUnit:
     def test_effective_limit_disabled(self, unit):
         assert unit.effective_limit(123) == 123
 
-    def test_reset(self, unit):
-        unit.try_compute(0, 5)
-        unit.reset()
-        assert unit.stats.completed == 0
-        assert unit.table.occupancy == 0
-
 
 class TestOffloadTable:
     def test_issue_and_capacity(self):
@@ -114,12 +108,6 @@ class TestOffloadTable:
         t.issue(1, 0, 50)
         assert not t.issue(2, 10, 60)
         assert t.issue(3, 50, 90)
-
-    def test_drain(self):
-        t = OffloadTable(1)
-        t.issue(1, 0, 1000)
-        t.drain()
-        assert t.issue(2, 0, 10)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -69,13 +69,6 @@ class TestContention:
         b = net.traverse(rb, 0, 256)
         assert a.completion == b.completion
 
-    def test_reset_clears_state(self, net):
-        r = xy_route(net.mesh, 0, 4)
-        net.traverse(r, 0, 256)
-        net.reset()
-        assert net.stats.transfers == 0
-        assert not net.link_utilization()
-
     def test_transfer_counted(self, net):
         net.traverse(xy_route(net.mesh, 0, 1), 0, 8)
         assert net.stats.transfers == 1

@@ -6,7 +6,6 @@ from repro.arch.topology import mesh_for
 from repro.config import DEFAULT_CONFIG
 from repro.core.ir import Array, ComputeSpec, LoopNest, Statement, ref
 from repro.core.routing_opt import (
-    RouteSelector,
     plan_pair,
     sample_homes,
     select_route_hint,
@@ -31,9 +30,10 @@ class TestPlanPair:
         assert len(plan.hint.y_nodes) - 1 == mesh.manhattan(4, 12)
 
     def test_selector_caches(self, mesh):
-        sel = RouteSelector(DEFAULT_CONFIG, mesh)
-        a = sel.plan(12, 0, 4)
-        b = sel.plan(12, 0, 4)
+        """Plans are memoized process-wide, so every pass and every
+        trace shares one plan per (mesh, core, home pair)."""
+        a = plan_pair(mesh, 12, 0, 4)
+        b = plan_pair(mesh, 12, 0, 4)
         assert a is b
 
 

@@ -13,11 +13,12 @@ ladder:
 3. **per-job timeout fallback** — a hanging worker trips the per-job
    timeout (``stats.timeouts``) and the job reruns serially.
 
-With more jobs than workers the ladder ships multi-job chunks (via
-``repro.runtime.batch._pool_batch_worker``); a chunk-level fault
-(worker crash, in-chunk exception) retries the chunk's jobs as
-singleton chunks (``repro.runtime.parallel._pool_worker``), which then
-get the same guarantees (``TestBatchedPoolFaults``).
+Every chunk ships through the one pool entry
+(``repro.runtime.parallel._pool_worker``).  With more jobs than
+workers the ladder ships multi-job chunks; a chunk-level fault (worker
+crash, in-chunk exception) retries the chunk's jobs as singleton
+chunks, which then get the same guarantees (``TestBatchedPoolFaults``:
+its injected faults fire only on a payload of more than one key).
 
 In every scenario the batch must complete with results **identical to a
 clean serial run** — degradation may cost time, never correctness — and
@@ -92,18 +93,23 @@ def _hanging_worker(payload):
 
 
 def _crash_once_batch_worker(payload):
-    """Batched-path sibling of :func:`_crash_once_worker`."""
-    from repro.runtime import batch as B
+    """Multi-job-chunk sibling of :func:`_crash_once_worker`."""
+    from repro.runtime import parallel as P
 
-    if not os.path.exists(_SENTINEL):
+    if len(payload[1]) > 1 and not os.path.exists(_SENTINEL):
         with open(_SENTINEL, "w") as fh:
             fh.write("crashed")
         os._exit(1)
-    return B._real_batch_worker_for_tests(payload)
+    return P._real_pool_worker_for_tests(payload)
 
 
 def _raising_batch_worker(payload):
-    raise RuntimeError("injected batch-chunk failure")
+    """Fail every multi-job chunk; singleton chunks run for real."""
+    from repro.runtime import parallel as P
+
+    if len(payload[1]) > 1:
+        raise RuntimeError("injected batch-chunk failure")
+    return P._real_pool_worker_for_tests(payload)
 
 
 def _raising_worker(payload):
@@ -233,33 +239,15 @@ def batch_serial_results():
     return runner.run_many(batch_matrix())
 
 
-@pytest.fixture()
-def patched_batch_worker(monkeypatch, tmp_path):
-    """Injectable *chunk* worker for the batched pool path."""
-    from repro.runtime import batch as B
-
-    monkeypatch.setattr(
-        B, "_real_batch_worker_for_tests", B._pool_batch_worker,
-        raising=False,
-    )
-
-    def install(worker):
-        global _SENTINEL
-        _SENTINEL = str(tmp_path / "sentinel")
-        monkeypatch.setattr(B, "_pool_batch_worker", worker)
-
-    yield install
-
-
 class TestBatchedPoolFaults:
     """Faults in a multi-job chunk degrade its jobs to singleton
     chunks — results stay identical to clean serial."""
 
     @needs_fork
     def test_chunk_worker_crash_recovers_per_unit(
-        self, patched_batch_worker, batch_serial_results
+        self, patched_worker, batch_serial_results
     ):
-        patched_batch_worker(_crash_once_batch_worker)
+        patched_worker(_crash_once_batch_worker)
         runner = ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=2))
         keys = batch_matrix()
         out = runner.run_many(keys)
@@ -273,9 +261,9 @@ class TestBatchedPoolFaults:
 
     @needs_fork
     def test_chunk_exception_degrades_chunk_to_per_unit(
-        self, patched_batch_worker, batch_serial_results
+        self, patched_worker, batch_serial_results
     ):
-        patched_batch_worker(_raising_batch_worker)
+        patched_worker(_raising_batch_worker)
         runner = ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=2))
         keys = batch_matrix()
         out = runner.run_many(keys)
@@ -287,7 +275,8 @@ class TestBatchedPoolFaults:
         ] * runner.stats.worker_failures
         assert runner.stats.retries == 0, \
             "an in-chunk exception must not be treated as a pool crash"
-        # The per-unit pool path (unpatched workers) did the real work.
+        # The singleton chunks (real work past the injected fault) did
+        # every job.
         assert runner.stats.executed_pool == len(keys)
         assert set(out) == set(keys)
         for key in keys:
