@@ -281,6 +281,15 @@ class FusedMachineState(MachineState):
         #: addr -> (home, l2 line, mc id, mc node, bank, row), filled on
         #: first use by :meth:`addr_fact`
         self.addr_info = {}
+        mem = self.cfg.memory
+        #: the constants of the config's address maps, and each
+        #: controller's mesh node
+        self._addr_consts = (
+            self.cfg.l2.line_bytes, self.cfg.noc.num_nodes,
+            mem.interleave_bytes, mem.num_controllers,
+            mem.dram.banks_per_controller, mem.dram.rows_per_bank,
+            tuple(map(self.mesh.mc_node, range(mem.num_controllers))),
+        )
         #: live only during a compute's pure estimate/candidate phase
         self._pure_memo = None
         #: journeys feed the Section 4 window profiler only; replay
@@ -288,18 +297,22 @@ class FusedMachineState(MachineState):
         self.keep_journeys = True
 
     def addr_fact(self, addr: int):
-        """Derived facts for ``addr`` (computed on first use)."""
+        """Derived facts for ``addr`` (computed on first use): the
+        config's closed forms (``l2_home_node``, ``memory_controller``,
+        ``dram_bank``, ``dram_row``) and ``Mesh.mc_node``, in integer
+        arithmetic over constants taken once per machine."""
         info = self.addr_info.get(addr)
         if info is None:
-            cfg = self.cfg
-            mc_id = cfg.memory_controller(addr)
+            line_bytes, nodes, interleave, ctrls, banks, rows, mc_nodes = (
+                self._addr_consts
+            )
+            line = addr // line_bytes
+            page = addr // interleave
+            mc_id = page % ctrls
+            per_mc = page // ctrls
             info = (
-                cfg.l2_home_node(addr),
-                addr // cfg.l2.line_bytes,
-                mc_id,
-                self.mesh.mc_node(mc_id),
-                cfg.dram_bank(addr),
-                cfg.dram_row(addr),
+                line % nodes, line, mc_id, mc_nodes[mc_id],
+                per_mc % banks, per_mc // banks % rows,
             )
             self.addr_info[addr] = info
         return info

@@ -14,7 +14,16 @@ cache-hit executions produce bit-identical :class:`SimulationResult`s;
 ``tests/test_runtime_parallel.py`` pins that property.  Trace sharing
 needs no executor of its own: :func:`~repro.workloads.tracegen.\
 compiled_trace`'s process-wide cache hands every job of a lineup the
-same trace object, in the serial loop and inside each pool worker.
+same trace object, in the serial loop and inside each pool worker, and
+equal compilations get one trace object.
+
+A result is a function of its simulation input — the trace, the
+config, the scheme spec, the three collection flags and the engine
+profile — and many job keys can name one input (``algorithm-1`` and
+``algorithm-2`` wherever Algorithm 2's reuse veto never fires).  The
+serial loop runs each input once per runner: a :class:`SimulationMemo`
+answers a job whose input already ran, and the job commits that result
+under its own key.
 
 Failure handling is one ladder (:meth:`ParallelRunner._run_pool`):
 
@@ -36,7 +45,7 @@ import os
 import sys
 import threading
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -50,13 +59,15 @@ from repro.runtime.backoff import backoff_delay
 from repro.runtime.cache import NullCache, ResultCache
 from repro.runtime.keys import JobKey, trace_signature
 from repro.schemes import scheme_from_spec
-from repro.workloads.tracegen import compiled_trace
+from repro.workloads.tracegen import compiled_trace, trace_serial
 
 #: Pause before rebuilding a crashed process pool (capped exponential,
 #: shared schedule with the campaign runner and remote claim client —
 #: see :mod:`repro.runtime.backoff`).
 POOL_RETRY_BASE = 0.05
 POOL_RETRY_CAP = 1.0
+#: simulation inputs a runner remembers (tracegen's cache bound)
+MEMO_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,9 @@ class RunnerStats:
     disk_writes: int = 0
     executed_serial: int = 0
     executed_pool: int = 0
+    #: executed jobs whose simulation input had already run in the
+    #: same runner: they took that result instead of simulating
+    shared: int = 0
     retries: int = 0
     timeouts: int = 0
     worker_failures: int = 0
@@ -147,7 +161,7 @@ class RunnerStats:
             f"hits, {self.misses} misses ({100 * self.hit_rate():.1f}% hit "
             f"rate), {self.disk_writes} disk writes",
             f"  jobs:  {self.executed_serial} serial + {self.executed_pool} "
-            f"pooled = {self.executed} executed "
+            f"pooled = {self.executed} executed, {self.shared} shared "
             f"({self.total_job_seconds:.2f}s simulated wall time)",
             f"  fault: {self.retries} pool retries, {self.timeouts} "
             f"timeouts, {self.worker_failures} worker failures",
@@ -192,25 +206,71 @@ class RunnerStats:
 # deterministic execution core (shared by serial path and pool workers)
 # ======================================================================
 
+class SimulationMemo:
+    """Bounded LRU from a simulation input to its result.
+
+    The input is (trace, config, scheme spec, the three collection
+    flags, engine profile), with the trace named by its
+    :func:`~repro.workloads.tracegen.trace_serial`: no other trace ever
+    gets that number, and the memo keeps no trace alive after tracegen
+    lets go of it.  Results are shared by reference: nothing outside
+    ``arch/`` writes into a result.
+    """
+
+    def __init__(self) -> None:
+        #: lookups answered
+        self.hits = 0
+        self._results: "OrderedDict[tuple, SimulationResult]" = OrderedDict()
+
+    def lookup(self, key: tuple) -> Optional[SimulationResult]:
+        result = self._results.get(key)
+        if result is not None:
+            self._results.move_to_end(key)
+            self.hits += 1
+        return result
+
+    def store(self, key: tuple, result: SimulationResult) -> None:
+        if len(self._results) >= MEMO_MAX:
+            self._results.popitem(last=False)
+        self._results[key] = result
+
+
 def execute_job(
     cfg: ArchConfig,
     key: JobKey,
     scheme=None,
     event_bus=None,
     engine_profile: str = OPTIMIZED,
+    memo: Optional[SimulationMemo] = None,
 ) -> SimulationResult:
     """Compile, lower, and simulate one job.  Pure and deterministic:
     the result depends only on ``(cfg, key)``; an attached ``event_bus``
     observes the run without changing it, and ``engine_profile`` selects
     an implementation whose results are pinned identical.  Jobs that
     share a trace signature share the trace object through
-    ``compiled_trace``'s cache."""
+    ``compiled_trace``'s cache.
+
+    With a ``memo``, a job whose simulation input has already run
+    returns that run's result without preparing or simulating.  The
+    scheme spec stands for the scheme, as it does in the disk cache's
+    key: ``scheme_from_spec(s.spec())`` rebuilds an identical scheme,
+    ``prepare`` reads only the config and the trace, and every scheme
+    resets when a run starts."""
     if scheme is None and key.scheme_spec is not None:
         scheme = scheme_from_spec(key.scheme_spec)
     trace, _ = compiled_trace(
         key.bench, key.variant, key.scale, cfg,
         tunables=key.tunables, **dict(key.trace_opts)
     )
+    if memo is not None:
+        run_key = (
+            trace_serial(trace), cfg, key.scheme_spec, key.profile_windows,
+            key.collect_window_series, key.collect_pc_stats,
+            engine_profile,
+        )
+        shared = memo.lookup(run_key)
+        if shared is not None:
+            return shared
     if scheme is not None:
         # Pre-run hook (profile-guided schemes run their warm-up here).
         # Sitting on this seam covers every execution path — serial
@@ -226,7 +286,10 @@ def execute_job(
         engine_profile=engine_profile,
         event_bus=event_bus,
     )
-    return sim.run(trace)
+    result = sim.run(trace)
+    if memo is not None:
+        memo.store(run_key, result)
+    return result
 
 
 def _exit_with_parent() -> None:
@@ -280,6 +343,8 @@ class ParallelRunner:
             else NullCache()
         )
         self._memory: Dict[JobKey, SimulationResult] = {}
+        #: one run per simulation input (serial execution only)
+        self._memo = SimulationMemo()
         #: streaming event sink behind ``--trace-events``; tracing
         #: implies serial execution (see RuntimeOptions.parallel) and
         #: bypasses disk-cache *reads* (a replayed result emits nothing)
@@ -332,16 +397,22 @@ class ParallelRunner:
 
     def _execute_serial(self, key: JobKey, scheme=None) -> SimulationResult:
         bus = None
+        memo = self._memo
         if self.trace_writer is not None:
             bus = self.trace_writer.bus
             bus.context = key.describe()
+            # A shared job would emit no events (the same reason
+            # _resolve_cached skips disk reads while tracing).
+            memo = None
+        hits = self._memo.hits
         t0 = time.perf_counter()
         result = execute_job(
             self.cfg, key, scheme, event_bus=bus,
-            engine_profile=self.options.engine_profile,
+            engine_profile=self.options.engine_profile, memo=memo,
         )
         dt = time.perf_counter() - t0
         self.stats.executed_serial += 1
+        self.stats.shared += self._memo.hits - hits
         self.stats.job_times.append((key, dt))
         self._commit(key, result)
         return result

@@ -589,11 +589,12 @@ class SiteProfile:
 class OffloadProfile:
     """Per-site offload statistics mined from a warm-up event stream.
 
-    The profile is pure data — content-addressed by :meth:`digest`
-    (deterministic across engine profiles and backends, because the
-    event stream itself is pinned profile-invariant by the
-    differential suite) and cached module-wide so a warm-up never
-    re-runs for the same (trace, config, cap).
+    The profile is pure data, with a content :meth:`digest` that is
+    deterministic across engine profiles and backends (the event
+    stream itself is pinned profile-invariant by the differential
+    suite).  :func:`warmup_profile` caches it module-wide per (trace
+    object, config, cap), so jobs handed tracegen's one trace object
+    share one warm-up.
     """
 
     def __init__(
@@ -663,26 +664,11 @@ class OffloadProfile:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _trace_digest(trace: Trace) -> str:
-    """Content hash of a trace (the warm-up cache address)."""
-    h = hashlib.sha256()
-    for stream in trace:
-        h.update(b"|stream|")
-        for op in stream:
-            h.update(repr((
-                int(op.kind), op.pc, op.addr, op.addr2, op.dest,
-                getattr(op.op, "value", op.op), op.cost,
-                op.x_reused, op.y_reused, op.pred_reuse,
-                int(op.mask) if op.mask is not None else -1,
-                op.route_hint, op.timeout,
-            )).encode("utf-8"))
-    return h.hexdigest()
-
-
-#: (trace digest, cfg, warm-up cap) -> mined profile.  Content-addressed
-#: so identical jobs (across schemes, benchmarks repeats, lineup bars)
-#: share one warm-up per process; bounded FIFO like the trace cache.
-_PROFILE_CACHE: Dict[tuple, OffloadProfile] = {}
+#: (trace id, cfg, warm-up cap) -> (trace, mined profile).  Every job
+#: of one benchmark, scale and config gets tracegen's one trace object,
+#: so they share one warm-up per process; the entry holds the trace, so
+#: its id is not reused while the entry lives.  Bounded FIFO.
+_PROFILE_CACHE: Dict[tuple, Tuple[Trace, OffloadProfile]] = {}
 _PROFILE_CACHE_MAX = 16
 
 
@@ -698,11 +684,11 @@ def warmup_profile(
     The warm-up replays ``trace`` under an aggressive blind-offload
     policy (:class:`WaitForever` at ``wait_cap``) with the event bus
     attached, then mines the stream.  Runs at most once per (trace
-    content, config, cap) per process.
+    object, config, cap) while its cache entry lives.
     """
-    key = (_trace_digest(trace), cfg, wait_cap)
-    prof = _PROFILE_CACHE.get(key)
-    if prof is None:
+    key = (id(trace), cfg, wait_cap)
+    entry = _PROFILE_CACHE.get(key)
+    if entry is None:
         # Lazy import: the simulator imports this module.
         from repro.arch.events import EventBus
         from repro.arch.simulator import SystemSimulator
@@ -712,11 +698,11 @@ def warmup_profile(
             cfg, WaitForever(wait_cap=wait_cap), event_bus=bus
         )
         sim.run(trace)
-        prof = OffloadProfile.from_events(bus.collected())
+        entry = (trace, OffloadProfile.from_events(bus.collected()))
         if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
             _PROFILE_CACHE.pop(next(iter(_PROFILE_CACHE)))
-        _PROFILE_CACHE[key] = prof
-    return prof
+        _PROFILE_CACHE[key] = entry
+    return entry[1]
 
 
 class NmpoScheme(NdcScheme):

@@ -17,13 +17,18 @@ Variants:
 
 A small LRU cache keyed by (name, variant, scale, config, tunables,
 pass options) avoids recompiling and re-lowering inside experiment
-sweeps.
+sweeps.  Lowering is a pure function of (config, cores, post-pass
+program, offload plans), so equal compilations are interned: a variant
+whose passes leave a program and plans equal to a live entry's gets
+that entry's trace object and is not lowered again (Algorithm 1 and
+Algorithm 2, for one, agree wherever the k = 0 reuse veto never fires).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.algorithm1 import Algorithm1, PassReport
@@ -33,12 +38,34 @@ from repro.core.tunables import Tunables
 from repro.isa import Trace
 from repro.workloads.suite import build_benchmark
 
-_cache: "OrderedDict[tuple, Tuple[Trace, Optional[PassReport]]]" = OrderedDict()
+#: compilation key -> (trace, pass report, lowering input); least
+#: recently used first
+_cache: "OrderedDict[tuple, Tuple[Trace, Optional[PassReport], tuple]]" = (
+    OrderedDict()
+)
 _CACHE_MAX = 128
+#: lowering input -> its trace; an input leaves with the last cache
+#: entry holding it, so no trace outlives its entries here
+_lowered: Dict[tuple, Trace] = {}
+#: id of each trace the cache holds -> [entries holding it, its serial]
+_holders: Dict[int, List[int]] = {}
+_serials = itertools.count()
 
 
 def clear_cache() -> None:
     _cache.clear()
+    _lowered.clear()
+    _holders.clear()
+
+
+def trace_serial(trace: Trace) -> int:
+    """The number the cache gave ``trace`` when it lowered it.
+
+    No other trace ever gets that number, so it names ``trace`` even
+    after the cache has let go of it (an ``id`` can be reused).
+    ``trace`` must be one the cache holds.
+    """
+    return _holders[id(trace)][1]
 
 
 def compiled_trace(
@@ -67,7 +94,7 @@ def compiled_trace(
     hit = _cache.get(key)
     if hit is not None:
         _cache.move_to_end(key)
-        return hit
+        return hit[0], hit[1]
 
     program = build_benchmark(name, scale)
     report: Optional[PassReport] = None
@@ -103,11 +130,22 @@ def compiled_trace(
         ).run(program)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    trace = lower_program(program, cfg, plans, cores)
+    # Everything ``lower_program`` reads.  The IR, the resolvers and
+    # ``OffloadPlan`` are frozen dataclasses that compare every field.
+    lowering = (cfg, cores, program, tuple(sorted((plans or {}).items())))
+    trace = _lowered.get(lowering)
+    if trace is None:
+        trace = _lowered[lowering] = lower_program(program, cfg, plans, cores)
+    held = _holders.setdefault(id(trace), [0, next(_serials)])
+    held[0] += 1
 
     if len(_cache) >= _CACHE_MAX:
-        _cache.popitem(last=False)
-    _cache[key] = (trace, report)
+        _, (old_trace, _, old) = _cache.popitem(last=False)
+        held = _holders[id(old_trace)]
+        held[0] -= 1
+        if not held[0]:
+            del _holders[id(old_trace)], _lowered[old]
+    _cache[key] = (trace, report, lowering)
     return trace, report
 
 

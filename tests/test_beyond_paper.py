@@ -198,7 +198,7 @@ class TestNmpoProfileDeterminism:
             assert prof.sites, f"{profile}: warm-up mined no sites"
         assert len(set(digests.values())) == 1, digests
 
-    def test_warmup_cache_is_content_addressed(self):
+    def test_warmup_cache_keys_on_the_trace_object(self):
         cfg = DEFAULT_CONFIG
         cap = Tunables().hard_wait_cap
         trace = benchmark_trace("fft", "original", 0.08, cfg)
@@ -207,6 +207,9 @@ class TestNmpoProfileDeterminism:
         again = S.warmup_profile(cfg, trace, cap)
         assert first is again  # served from the cache, not re-run
         assert first.digest() == again.digest()
+        # The entry holds its trace, so the id it is keyed by cannot be
+        # reused by another trace while the entry lives.
+        assert [t for t, _ in S._PROFILE_CACHE.values()] == [trace]
 
     def test_nmpo_result_identical_across_engine_profiles(self):
         results = [

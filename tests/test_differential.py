@@ -27,6 +27,7 @@ change a result.  This suite is that guarantee:
   at every entry point.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -289,25 +290,45 @@ def test_route_table_shared_per_mesh():
     assert a is b
 
 
+def _memory(cfg, **changes):
+    return cfg.replace(memory=dataclasses.replace(cfg.memory, **changes))
+
+
+#: the default machine, other meshes, a finer interleave and more
+#: controllers than the mesh has corners
+ADDR_FACT_CONFIGS = (
+    DEFAULT_CONFIG,
+    DEFAULT_CONFIG.with_mesh(4, 4),
+    DEFAULT_CONFIG.with_mesh(6, 6),
+    _memory(DEFAULT_CONFIG, interleave_bytes=1024),
+    _memory(DEFAULT_CONFIG.with_mesh(6, 6), num_controllers=7),
+)
+
+
 def test_addr_fact_matches_config_closed_forms():
     """The default machine's memoized address facts equal the config's
-    closed forms for every address a real benchmark touches."""
-    cfg = DEFAULT_CONFIG
-    machine = SystemSimulator(cfg).machine
+    closed forms for every address a real benchmark touches, and for
+    addresses far enough apart to wrap the DRAM rows."""
     trace = benchmark_trace("fft", "original", 0.08)
     addrs = {
         a for stream in trace for op in stream
         for a in (op.addr, op.addr2, op.dest) if a is not None and a != -1
     }
     assert addrs, "a real benchmark trace touches addresses"
-    for addr in addrs:
-        home, l2_line, mc_id, mc_node, bank, row = machine.addr_fact(addr)
-        assert home == cfg.l2_home_node(addr)
-        assert l2_line == addr // cfg.l2.line_bytes
-        assert mc_id == cfg.memory_controller(addr)
-        assert mc_node == machine.mesh.mc_node(cfg.memory_controller(addr))
-        assert bank == cfg.dram_bank(addr)
-        assert row == cfg.dram_row(addr)
+    addrs.update(k * (1 << 27) + 4160 * k for k in range(64))
+    for cfg in ADDR_FACT_CONFIGS:
+        machine = SystemSimulator(cfg).machine
+        for addr in addrs:
+            facts = machine.addr_fact(addr)
+            mc_id = cfg.memory_controller(addr)
+            assert facts == (
+                cfg.l2_home_node(addr),
+                addr // cfg.l2.line_bytes,
+                mc_id,
+                machine.mesh.mc_node(mc_id),
+                cfg.dram_bank(addr),
+                cfg.dram_row(addr),
+            ), (cfg.noc, cfg.memory, addr)
 
 
 # ======================================================================
