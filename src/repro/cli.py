@@ -415,7 +415,8 @@ def _sweep(args: argparse.Namespace, spec, root, **kwargs) -> int:
     total = result.summary["total_units"]
     print(
         f"[{result.campaign_id}] {done}/{total} units done, "
-        f"{result.stats.executed} simulated, "
+        f"{result.stats.simulated} simulated, "
+        f"{result.stats.shared} shared, "
         f"{result.stats.hits} cache hits"
         + (f" -> {result.root}" if result.root else ""),
         file=sys.stderr,
@@ -476,7 +477,8 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
         print(
             f"[{runner.campaign_id}] remote worker {outcome.worker_id}: "
             f"{len(outcome.results)} units resolved, "
-            f"{runner.stats.executed} simulated "
+            f"{runner.stats.simulated} simulated, "
+            f"{runner.stats.shared} shared "
             f"(results shipped to {args.server})",
             file=sys.stderr,
         )
@@ -507,7 +509,8 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
     print(
         f"[{args.campaign}] worker {outcome.worker_id}: "
         f"{len(outcome.results)} units resolved, "
-        f"{runner.stats.executed} simulated, "
+        f"{runner.stats.simulated} simulated, "
+        f"{runner.stats.shared} shared, "
         f"{runner.stats.hits} cache hits; campaign {blob['status']}",
         file=sys.stderr,
     )

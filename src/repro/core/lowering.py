@@ -19,7 +19,8 @@ Each statement instance lowers to trace ops:
 A nest lowers in bulk: its scheduled points are one int64 array, each
 reference computes all of its addresses at once
 (:meth:`~repro.core.ir.ArrayRef.addresses`), and every instance of a
-statement's ``WORK`` op is one shared (frozen) object.
+statement's ``WORK`` op is one shared (frozen) object.  Equal
+addresses within one trace are one int object.
 
 Computes wait as plain records until a backward pass over each core's
 stream has found their ground-truth future-reuse flags
@@ -39,7 +40,7 @@ import numpy as np
 from repro.arch.topology import mesh_for
 from repro.config import ArchConfig, NdcComponentMask
 from repro.core.algorithm1 import OffloadPlan
-from repro.core.ir import LoopNest, Program, Statement
+from repro.core.ir import LoopNest, Program, Ref, Statement
 from repro.core.routing_opt import plan_pair
 from repro.isa import OpKind, RouteHint, Trace, TraceOp, make_trace
 
@@ -79,8 +80,9 @@ def lower_program(
         raise ValueError("more cores requested than mesh nodes")
     plans = plans or {}
     streams: List[list] = [[] for _ in range(n_cores)]
+    addrs: Dict[int, int] = {}
     for nest in program.nests:
-        _lower_nest(cfg, nest, plans, streams)
+        _lower_nest(cfg, nest, plans, streams, addrs)
     line = cfg.l1.line_bytes
     return make_trace(_with_reuse_flags(s, line) for s in streams)
 
@@ -90,6 +92,7 @@ def _lower_nest(
     nest: LoopNest,
     plans: Dict[int, OffloadPlan],
     streams: List[list],
+    addrs: Dict[int, int],
 ) -> None:
     """Append one nest's ops to every core's stream (block-partitioned)."""
     pts = nest.scheduled_points()
@@ -103,7 +106,7 @@ def _lower_nest(
     shifts = dict(nest.stmt_shifts)
     columns = [
         _statement_ops(cfg, nest, st, pts, owner, shifts.get(st.sid),
-                       plans.get(st.sid))
+                       plans.get(st.sid), addrs)
         for st in nest.body
     ]
     rows = list(zip(*columns))  # per point: each statement's op tuple
@@ -122,6 +125,7 @@ def _statement_ops(
     owner: np.ndarray,
     delta: Optional[Tuple[int, ...]],
     plan: Optional[OffloadPlan],
+    addrs: Dict[int, int],
 ) -> list:
     """One statement's ops at every point, as one tuple per point (empty
     where a shifted instance falls outside the space)."""
@@ -143,12 +147,14 @@ def _statement_ops(
         cols.append([TraceOp(OpKind.WORK, pc_of(st.sid, 14), cost=st.work)] * m)
     for k, r in enumerate(st.reads):
         pc = pc_of(st.sid, k)
-        cols.append([TraceOp(OpKind.LOAD, pc, a) for a in r.addresses(pts)])
+        cols.append([TraceOp(OpKind.LOAD, pc, a)
+                     for a in _addresses(r, pts, addrs)])
     if st.compute is not None:
-        cols.append(_compute_records(cfg, st, pts, owner, plan))
+        cols.append(_compute_records(cfg, st, pts, owner, plan, addrs))
     for k, w in enumerate(st.writes):
         pc = pc_of(st.sid, 8 + k)
-        cols.append([TraceOp(OpKind.STORE, pc, a) for a in w.addresses(pts)])
+        cols.append([TraceOp(OpKind.STORE, pc, a)
+                     for a in _addresses(w, pts, addrs)])
     ops = list(zip(*cols)) if cols else [()] * m
     if delta is None:
         return ops
@@ -158,20 +164,29 @@ def _statement_ops(
     return out
 
 
+def _addresses(ref: Ref, pts: np.ndarray, addrs: Dict[int, int]) -> List[int]:
+    """``ref``'s address at every point, each value as the one int
+    object ``addrs`` keeps for it (the first one seen)."""
+    values = ref.addresses(pts)
+    return list(map(addrs.setdefault, values, values))
+
+
 def _compute_records(
     cfg: ArchConfig,
     st: Statement,
     pts: np.ndarray,
     owner: np.ndarray,
     plan: Optional[OffloadPlan],
+    addrs: Dict[int, int],
 ) -> List[tuple]:
     """The statement's compute at every point, as ``TraceOp`` argument
     tuples short of the reuse flags (see :func:`_with_reuse_flags`)."""
     spec = st.compute
     assert spec is not None
-    ax = spec.x.addresses(pts)
-    ay = spec.y.addresses(pts)
-    dest = spec.dest.addresses(pts) if spec.dest is not None else repeat(None)
+    ax = _addresses(spec.x, pts, addrs)
+    ay = _addresses(spec.y, pts, addrs)
+    dest = (_addresses(spec.dest, pts, addrs) if spec.dest is not None
+            else repeat(None))
     pc = pc_of(st.sid)
     if plan is None:
         kind, pred, mask, timeout = OpKind.COMPUTE, None, NdcComponentMask.ALL, 0

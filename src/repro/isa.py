@@ -43,7 +43,7 @@ class RouteHint:
     common_links: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceOp:
     """One dynamic instruction in a per-core trace.
 
@@ -54,6 +54,11 @@ class TraceOp:
     ground-truth future-reuse flags filled by the trace generator (the
     oracle consumes them; compiled schemes must rely on their own static
     analysis, recorded in ``pred_reuse``).
+
+    Ops are slotted (no instance dict) and frozen, so they compare and
+    hash by value only: one op object may stand at many positions of a
+    trace, and traces of one benchmark may share op objects
+    (:func:`~repro.workloads.tracegen.compiled_trace`).
     """
 
     kind: OpKind

@@ -139,6 +139,12 @@ class RunnerStats:
         return self.executed_serial + self.executed_pool
 
     @property
+    def simulated(self) -> int:
+        """Executed jobs that ran a simulation (did not take a shared
+        result)."""
+        return self.executed - self.shared
+
+    @property
     def hits(self) -> int:
         return self.mem_hits + self.disk_hits
 

@@ -22,6 +22,10 @@ program, offload plans), so equal compilations are interned: a variant
 whose passes leave a program and plans equal to a live entry's gets
 that entry's trace object and is not lowered again (Algorithm 1 and
 Algorithm 2, for one, agree wherever the k = 0 reuse veto never fires).
+Unequal compilations of one benchmark still share most of their ops
+(every load, store and unmarked compute the passes leave alone), so a
+newly lowered trace takes each op a live sibling of the same benchmark
+and scale already holds instead of keeping its own equal copy.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.core.algorithm1 import Algorithm1, PassReport
 from repro.core.algorithm2 import Algorithm2
 from repro.core.lowering import lower_program
 from repro.core.tunables import Tunables
-from repro.isa import Trace
+from repro.isa import Trace, TraceOp, make_trace
 from repro.workloads.suite import build_benchmark
 
 #: compilation key -> (trace, pass report, lowering input); least
@@ -135,7 +139,9 @@ def compiled_trace(
     lowering = (cfg, cores, program, tuple(sorted((plans or {}).items())))
     trace = _lowered.get(lowering)
     if trace is None:
-        trace = _lowered[lowering] = lower_program(program, cfg, plans, cores)
+        trace = _lowered[lowering] = _share_ops(
+            lower_program(program, cfg, plans, cores), name, scale
+        )
     held = _holders.setdefault(id(trace), [0, next(_serials)])
     held[0] += 1
 
@@ -147,6 +153,30 @@ def compiled_trace(
             del _holders[id(old_trace)], _lowered[old]
     _cache[key] = (trace, report, lowering)
     return trace, report
+
+
+def _share_ops(trace: Trace, name: str, scale: float) -> Trace:
+    """``trace`` with each op swapped for the equal op a live sibling
+    (a cached trace of the same benchmark and scale) holds, if any.
+
+    Ops are frozen and compared by value, so the result ``==`` ``trace``.
+    The table dies with the call: a process-wide one would outlive the
+    traces it serves.
+    """
+    siblings = {  # a key starts (name, variant, scale, ...)
+        id(t): t for key, (t, _, _) in _cache.items()
+        if key[0] == name and key[2] == scale
+    }
+    if not siblings:
+        return trace
+    # Siblings already share most op objects: skip repeats by identity
+    # so only distinct objects are hashed.
+    distinct: Dict[int, TraceOp] = {}
+    for sibling in siblings.values():
+        for stream in sibling:
+            distinct.update(zip(map(id, stream), stream))
+    table = {op: op for op in distinct.values()}
+    return make_trace(map(table.get, s, s) for s in trace)
 
 
 def benchmark_trace(

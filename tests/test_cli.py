@@ -293,6 +293,27 @@ class TestSweepCommands:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("jobs,counts", [
+        ("1", "4 simulated, 4 shared"),
+        ("2", "8 simulated, 0 shared"),
+    ])
+    def test_run_counts_shared_jobs_apart(self, tmp_path, capsys, jobs,
+                                          counts):
+        """A job that takes the result of an equal simulation input is
+        shared, not simulated; only the serial runner shares."""
+        rc = main([
+            "sweep", "run", "--name", "share",
+            "--benchmarks", "spmv.csr", "hashjoin",
+            "--schemes", "algorithm-1", "algorithm-2", "coda",
+            "--scales", "0.1", "--jobs", jobs,
+            "--runs-dir", str(tmp_path / "runs"),
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert rc == 0
+        assert f"8/8 units done, {counts}, 0 cache hits" in (
+            capsys.readouterr().err
+        )
+
     def test_resume_recomputes_nothing(self, tmp_path, capsys):
         self._run(tmp_path, capsys)
         rc = main([

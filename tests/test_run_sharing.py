@@ -260,11 +260,13 @@ def test_cast_results_equal_unshared_runs(benches, labels):
 
 
 #: One small cast through the in-memory sweep; prints every unit's
-#: ``SimStats`` digest and the shared count as one JSON line.
+#: ``SimStats`` digest, the shared count and the number of op objects
+#: the live traces hold as one JSON line.
 _HASH_SEED_SCRIPT = """
 import json
 from repro import api
 from repro.runtime.keys import digest_of
+from repro.workloads import tracegen
 
 res = api.sweep(
     {"benchmarks": ["fft", "spmv.csr"],
@@ -275,14 +277,17 @@ res = api.sweep(
 print(json.dumps({
     "units": {uid: digest_of(r.stats) for uid, r in res.results.items()},
     "shared": res.stats.shared,
+    "ops": len({id(op) for trace, _, _ in tracegen._cache.values()
+                for stream in trace for op in stream}),
 }))
 """
 
 
 @pytest.mark.slow
 def test_results_do_not_depend_on_the_hash_seed():
-    """Interning keys on hashed IR; the results and what is shared must
-    not move with ``PYTHONHASHSEED``."""
+    """Interning keys on hashed IR and op sharing on hashed ops; the
+    results, what is shared and how many op objects the live traces
+    hold must not move with ``PYTHONHASHSEED``."""
     seen = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
@@ -293,4 +298,5 @@ def test_results_do_not_depend_on_the_hash_seed():
         seen.append(json.loads(proc.stdout.strip().splitlines()[-1]))
     assert len(seen[0]["units"]) == 12
     assert seen[0]["shared"] > 0
+    assert seen[0]["ops"] == seen[1]["ops"] > 0
     assert seen[0] == seen[1]
